@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pygments.lexers import JavaLexer
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
 
-from .errors import CatastrophicParseFailure, UnsupportedLanguage
+from .errors import UnsupportedLanguage
 from .model import Language, Program
 
 DEFAULT_SUBTREE_HEIGHT = 2
@@ -68,30 +68,24 @@ def _convert_py(node: ast.AST) -> CstNode:
     return CstNode(type(node).__name__, tuple(children))
 
 
-def _parse_python(source: str) -> CstNode:
+def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
+    """Parse Python source, dropping offending lines one at a time until the
+    rest parses. Returns the module and how many lines were dropped.
+
+    Always ends: once every line is dropped, the empty source parses.
+    """
     try:
-        return _convert_py(ast.parse(source))
+        return ast.parse(source), 0
     except SyntaxError:
         pass
-    # Recovery: drop offending lines one at a time, keep them as error leaves.
     lines = source.splitlines()
-    dropped: list[int] = []
-    for _ in range(len(lines) + 1):
-        kept = [l for i, l in enumerate(lines) if i not in dropped]
+    kept = list(range(len(lines)))
+    while True:
         try:
-            tree = _convert_py(ast.parse("\n".join(kept)))
+            return ast.parse("\n".join(lines[i] for i in kept)), len(lines) - len(kept)
         except SyntaxError as exc:
-            bad = (exc.lineno or 1) - 1
             # lineno refers to the trimmed text; map back to the original
-            kept_indices = [i for i in range(len(lines)) if i not in dropped]
-            if not kept_indices:
-                break
-            bad = min(bad, len(kept_indices) - 1)
-            dropped.append(kept_indices[bad])
-            continue
-        error_leaves = tuple(CstNode("ERROR") for _ in dropped)
-        return CstNode(tree.kind, tree.children + error_leaves)
-    return CstNode("Module", tuple(CstNode("ERROR") for _ in lines))
+            del kept[min((exc.lineno or 1) - 1, len(kept) - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +210,16 @@ def _parse_java(source: str) -> CstNode:
 def parse_cst(program: Program) -> CstNode:
     """Parse a program into a concrete-syntax-style tree.
 
-    Malformed input yields a tree containing ERROR nodes rather than failing;
-    CatastrophicParseFailure is reserved for inputs no strategy can handle.
+    Malformed input yields a tree containing ERROR nodes rather than failing:
+    for Python, one ERROR leaf per dropped line, after the surviving nodes.
     """
     if program.language is Language.PYTHON:
-        tree = _parse_python(program.source)
-    elif program.language is Language.JAVA:
-        tree = _parse_java(program.source)
-    else:
-        raise UnsupportedLanguage(str(program.language))
-    if tree is None:  # pragma: no cover - defensive
-        raise CatastrophicParseFailure(program.language.value)
-    return tree
+        module, dropped = _parse_python_ast(program.source)
+        tree = _convert_py(module)
+        return CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped)
+    if program.language is Language.JAVA:
+        return _parse_java(program.source)
+    raise UnsupportedLanguage(str(program.language))
 
 
 def _fingerprint(node: CstNode, height: int) -> str:
@@ -384,29 +376,10 @@ def extract_dataflow(program: Program) -> DataflowGraph:
     edge to each variable defined on the left-hand side.
     """
     if program.language is Language.PYTHON:
-        tree = _parse_python_for_dataflow(program.source)
         visitor = _PyDefUse()
-        visitor.visit(tree)
+        visitor.visit(_parse_python_ast(program.source)[0])
         return DataflowGraph(visitor.edges)
     if program.language is Language.JAVA:
         return DataflowGraph(_java_dataflow(program.source))
     raise UnsupportedLanguage(str(program.language))
 
-
-def _parse_python_for_dataflow(source: str) -> ast.AST:
-    try:
-        return ast.parse(source)
-    except SyntaxError:
-        lines = source.splitlines()
-        dropped: set[int] = set()
-        for _ in range(len(lines) + 1):
-            kept = [l for i, l in enumerate(lines) if i not in dropped]
-            try:
-                return ast.parse("\n".join(kept))
-            except SyntaxError as exc:
-                kept_indices = [i for i in range(len(lines)) if i not in dropped]
-                if not kept_indices:
-                    break
-                bad = min((exc.lineno or 1) - 1, len(kept_indices) - 1)
-                dropped.add(kept_indices[bad])
-        return ast.parse("")

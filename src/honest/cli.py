@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import baselines, client, confidence, dataset, evaluation
-from .client import SamplingConfig, SeedMode
+from .client import ENDPOINT_ENV, SamplingConfig, SeedMode
 from .embeddings import EmbeddingProviderConfig, ProviderKind
 from .errors import (
     EndpointError,
@@ -30,8 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NETWORK = 3
 EXIT_UNSUPPORTED = 4
-
-ENDPOINT_ENV = "HONEST_ENDPOINT"
 
 _UNIMPLEMENTED_METHODS = {"code-classifier", "requirement-classifier"}
 
@@ -207,8 +205,7 @@ def cmd_estimate(args) -> int:
     lines = []
     for entry in entries:
         sample_set = _entry_to_sample_set(entry, requirement="", language=language)
-        report = confidence.estimate_confidence(sample_set, weights, provider,
-                                                workers=args.workers)
+        report = confidence.estimate_confidence(sample_set, weights, provider)
         lines.append(json.dumps({
             "id": entry.id,
             "model": entry.model,
@@ -242,8 +239,7 @@ def cmd_gate(args) -> int:
     sample_set = _entry_to_sample_set(entry, requirement="", language=language)
 
     report = confidence.ConfidenceReport(
-        requirement_id=rid, n=report_obj["n"], pair_sims=(),
-        confidence=report_obj["confidence"])
+        requirement_id=rid, n=report_obj["n"], confidence=report_obj["confidence"])
     decision = decide(report, sample_set, args.threshold,
                       refusal_message=args.message)
     print(decision_to_json(decision))
@@ -292,8 +288,7 @@ def _scored_for_method(args, method: str, benchmark, entries, provider,
         if method == "honest":
             sample_set = _entry_to_sample_set(entry, sample.requirement,
                                               sample.language)
-            report = confidence.estimate_confidence(sample_set, weights, provider,
-                                                    workers=args.workers)
+            report = confidence.estimate_confidence(sample_set, weights, provider)
             score = report.confidence
         elif method == "avg-prob":
             score = baselines.avg_prob(records_for(entry))
@@ -412,7 +407,7 @@ def cmd_tune(args) -> int:
     if not train:
         raise CliError("no labeled train samples with archived programs")
 
-    result = confidence.tune_weights(train, provider, workers=args.workers)
+    result = confidence.tune_weights(train, provider)
     confidence.save_weights(result, args.out)
     w = result.weights
     print(json.dumps({
@@ -472,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--archive", required=True)
     p.add_argument("--language", required=True)
     p.add_argument("--weights")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)
 
@@ -483,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id")
     p.add_argument("--language", required=True)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--top", type=int,
-                   help="reserved: limit how many programs are surfaced")
     from .gate import DEFAULT_REFUSAL_MESSAGE
     p.add_argument("--message", default=DEFAULT_REFUSAL_MESSAGE)
     p.set_defaults(func=cmd_gate)
@@ -498,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--weights")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--k", type=int, help="fixed k for K-NNS (default: tuned)")
     p.add_argument("--pr-mode", choices=["average-precision", "trapezoid"],
                    default="average-precision")
@@ -517,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--benchmark", required=True)
     p.add_argument("--archive", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_tune)
 

@@ -3,7 +3,6 @@ plus exhaustive-grid weight tuning on labeled training data."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,7 +28,6 @@ GRID_STEP = 0.05
 class ConfidenceReport:
     requirement_id: str
     n: int
-    pair_sims: tuple[tuple[Optional[SimilarityBreakdown], ...], ...]
     confidence: float
 
 
@@ -60,14 +58,6 @@ def analyze_program(program: Program, provider: EmbeddingProviderConfig,
     )
 
 
-def _analyze_all(programs: Sequence[Program], provider: EmbeddingProviderConfig,
-                 workers: Optional[int]) -> list[ProgramAnalysis]:
-    if workers is not None and workers <= 1:
-        return [analyze_program(p, provider) for p in programs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda p: analyze_program(p, provider), programs))
-
-
 def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,
                    weights: SimilarityWeights) -> SimilarityBreakdown:
     text = sim_text(a_i.tokens, a_j.tokens)
@@ -83,56 +73,43 @@ def pairwise_confidence(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def estimate_confidence(samples: SampleSet, weights: SimilarityWeights,
-                        provider: EmbeddingProviderConfig,
-                        workers: Optional[int] = None) -> ConfidenceReport:
-    """Mean hybrid similarity over all N*(N-1) ordered pairs of programs.
+def _pairs(samples: SampleSet, weights: SimilarityWeights,
+           provider: EmbeddingProviderConfig) -> list[SimilarityBreakdown]:
+    """Breakdowns of all N*(N-1) ordered pairs (i, j), i != j, in row order.
 
-    Per-program analyses (tokens, subtree bag, dataflow, embedding) are
-    computed once and reused across all pairs.
+    Each program is analysed once; its analysis is reused across its pairs.
     """
     n = len(samples)
     if n < 2:
         raise TooFewSamples(f"need at least 2 programs, got {n}")
-    analyses = _analyze_all(samples.programs, provider, workers)
+    analyses = [analyze_program(p, provider) for p in samples.programs]
+    return [pair_breakdown(i, j, analyses[i], analyses[j], weights)
+            for i in range(n) for j in range(n) if i != j]
 
-    matrix: list[list[Optional[SimilarityBreakdown]]] = [[None] * n for _ in range(n)]
-    values: list[float] = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bd = pair_breakdown(i, j, analyses[i], analyses[j], weights)
-            matrix[i][j] = bd
-            values.append(bd.hybrid)
+
+def estimate_confidence(samples: SampleSet, weights: SimilarityWeights,
+                        provider: EmbeddingProviderConfig) -> ConfidenceReport:
+    """Mean hybrid similarity over all N*(N-1) ordered pairs of programs."""
+    pairs = _pairs(samples, weights, provider)
     return ConfidenceReport(
         requirement_id=samples.requirement_id,
-        n=n,
-        pair_sims=tuple(tuple(row) for row in matrix),
-        confidence=pairwise_confidence(values),
+        n=len(samples),
+        confidence=pairwise_confidence([bd.hybrid for bd in pairs]),
     )
 
 
-def modality_means(samples: SampleSet, provider: EmbeddingProviderConfig,
-                   workers: Optional[int] = None) -> tuple[float, float, float, float]:
+def modality_means(samples: SampleSet,
+                   provider: EmbeddingProviderConfig) -> tuple[float, float, float, float]:
     """Per-modality mean over all ordered pairs; the hybrid confidence for any
     weight tuple is just the dot product with these means."""
-    n = len(samples)
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 programs, got {n}")
-    analyses = _analyze_all(samples.programs, provider, workers)
+    pairs = _pairs(samples, SimilarityWeights.uniform(), provider)
     sums = [0.0, 0.0, 0.0, 0.0]
-    count = 0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            sums[0] += sim_text(analyses[i].tokens, analyses[j].tokens)
-            sums[1] += sim_syntax(analyses[i].subtree_bag, analyses[j].subtree_bag)
-            sums[2] += sim_dataflow(analyses[i].dataflow, analyses[j].dataflow)
-            sums[3] += sim_embed(analyses[i].embedding, analyses[j].embedding)
-            count += 1
-    return tuple(s / count for s in sums)  # type: ignore[return-value]
+    for bd in pairs:
+        sums[0] += bd.text
+        sums[1] += bd.syntax
+        sums[2] += bd.dataflow
+        sums[3] += bd.embedding
+    return tuple(s / len(pairs) for s in sums)  # type: ignore[return-value]
 
 
 def weight_grid(step: float = GRID_STEP) -> list[SimilarityWeights]:
@@ -178,8 +155,7 @@ def tune_weights_from_modality_means(
 
 def tune_weights(train: Sequence[tuple[SampleSet, bool]],
                  provider: EmbeddingProviderConfig,
-                 step: float = GRID_STEP,
-                 workers: Optional[int] = None) -> TuningResult:
+                 step: float = GRID_STEP) -> TuningResult:
     """Tune (alpha, beta, gamma, delta) on labeled sample sets.
 
     Modality similarities are computed once per sample set and re-mixed for
@@ -187,7 +163,7 @@ def tune_weights(train: Sequence[tuple[SampleSet, bool]],
     """
     if len({label for _, label in train}) < 2:
         raise DegenerateLabels("training data contains a single class")
-    means = [modality_means(s, provider, workers) for s, _ in train]
+    means = [modality_means(s, provider) for s, _ in train]
     labels = [label for _, label in train]
     return tune_weights_from_modality_means(means, labels, step)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .errors import DuplicateId, MalformedLine, TooFewSamples, UnknownLanguage
-from .model import Language
+from .model import Language, Origin
 
 log = logging.getLogger(__name__)
 
@@ -155,10 +155,16 @@ def load_samples(path: str | Path) -> list[SampleArchiveEntry]:
                 raise MalformedLine(number, "program needs source and temperature")
             probs = p.get("token_probs")
             verdict = p.get("verdict")
+            try:
+                # the bounds a sampled program's Origin enforces
+                origin = Origin(temperature=float(p["temperature"]),
+                                token_probs=tuple(probs) if probs else None)
+            except (TypeError, ValueError) as exc:
+                raise MalformedLine(number, str(exc)) from None
             programs.append(ArchivedProgram(
                 source=p["source"],
-                temperature=float(p["temperature"]),
-                token_probs=tuple(probs) if probs else None,
+                temperature=origin.temperature,
+                token_probs=origin.token_probs,
                 verdict=_parse_label(verdict, number) if verdict is not None else None,
             ))
         entries.append(SampleArchiveEntry(id=obj["id"], model=obj["model"],

@@ -18,6 +18,7 @@ from typing import Optional
 
 import requests
 
+from .client import API_KEY_ENV
 from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
@@ -27,8 +28,6 @@ from .errors import (
 from .model import Program, tokenize
 
 _HASH_SEED = b"honest-localhashed-v1"  # fixed: vectors must be reproducible
-
-API_KEY_ENV = "HONEST_API_KEY"
 
 
 class ProviderKind(Enum):

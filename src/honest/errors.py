@@ -11,10 +11,6 @@ class UnsupportedLanguage(HonestError):
     pass
 
 
-class CatastrophicParseFailure(HonestError):
-    """The grammar could not produce any tree, even with error recovery."""
-
-
 # --- embeddings ---
 
 class ProviderUnavailable(HonestError):
@@ -103,10 +99,6 @@ class DuplicateId(HonestError):
 
 class UnknownLanguage(HonestError):
     pass
-
-
-class JoinError(HonestError):
-    """Archive entry references an id absent from the benchmark."""
 
 
 # --- evaluation ---

@@ -45,6 +45,13 @@ class TestParseCst:
         assert "ERROR" in kinds
         assert "Assign" in kinds  # the valid lines survive
 
+    def test_python_two_bad_lines_two_error_leaves(self):
+        clean = "a = 1\nb = a\nc = a + b\n"
+        damaged = "a = 1\ndef broken(:\nb = a\nx = = 2\nc = a + b\n"
+        tree = parse_cst(py(damaged))
+        assert _count_kind(tree, "ERROR") == 2
+        assert extract_dataflow(py(damaged)).edges == extract_dataflow(py(clean)).edges
+
     def test_java_unbalanced_braces_recover(self):
         tree = parse_cst(java("class A { void f() {"))
         assert "ERROR" in _all_kinds(tree)
@@ -56,6 +63,10 @@ class TestParseCst:
             assert parse_cst(py(source)).kind == "Module"
         for source in JAVA_CORPUS:
             assert parse_cst(java(source)).kind == "compilation_unit"
+
+
+def _count_kind(node, kind):
+    return (node.kind == kind) + sum(_count_kind(c, kind) for c in node.children)
 
 
 def _all_kinds(node):

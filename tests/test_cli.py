@@ -163,6 +163,20 @@ class TestEstimateCommand:
         assert code == 2
 
 
+    @pytest.mark.parametrize("field,value", [("token_probs", [0.5, 0.0]),
+                                             ("temperature", 3.0)])
+    def test_out_of_range_archive_value_is_usage_error(self, tmp_path, capsys,
+                                                       field, value):
+        arch_path = tmp_path / "arch.jsonl"
+        programs = [{"source": "x = 1", "temperature": 1.0},
+                    {"source": "x = 2", "temperature": 1.0, field: value}]
+        arch_path.write_text(json.dumps({"id": "s0", "model": MODEL,
+                                         "programs": programs}) + "\n")
+        code = main(["estimate", "--archive", str(arch_path),
+                     "--language", "python", "--out", str(tmp_path / "r.jsonl")])
+        assert code == 2
+        assert "MalformedLine" in capsys.readouterr().err
+
 class TestGateCommand:
     def run_gate(self, tmp_path, threshold, rid="s0"):
         _, arch_path = build_fixture(tmp_path)

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from corpus import PYTHON_CORPUS
+from corpus import JAVA_CORPUS, PYTHON_CORPUS
 
 from honest.confidence import (
     estimate_confidence,
@@ -45,19 +45,6 @@ class TestEstimateConfidence:
         # mean over the two ordered pairs
         assert pairwise_confidence([0.7, 0.5]) == pytest.approx(0.6, abs=1e-12)
 
-    def test_matrix_shape_and_diagonal(self, local_provider):
-        ss = sample_set(PYTHON_CORPUS[:4])
-        report = estimate_confidence(ss, SimilarityWeights.uniform(), local_provider)
-        populated = [bd for row in report.pair_sims for bd in row if bd is not None]
-        assert len(populated) == 4 * 3
-        assert all(report.pair_sims[i][i] is None for i in range(4))
-
-    def test_confidence_recomputable_from_pair_sims(self, local_provider):
-        ss = sample_set(PYTHON_CORPUS[:4])
-        report = estimate_confidence(ss, SimilarityWeights.uniform(), local_provider)
-        values = [bd.hybrid for row in report.pair_sims for bd in row if bd is not None]
-        assert pairwise_confidence(values) == report.confidence
-
     def test_three_program_enumeration_oracle(self, local_provider):
         # independently enumerate all 6 ordered-pair hybrids
         sources = PYTHON_CORPUS[:3]
@@ -85,13 +72,18 @@ class TestEstimateConfidence:
         permuted = estimate_confidence(sample_set(shuffled), weights, local_provider)
         assert permuted.confidence == pytest.approx(base.confidence, abs=1e-9)
 
-    def test_workers_do_not_change_result(self, local_provider):
-        ss = sample_set(PYTHON_CORPUS[:4])
-        weights = SimilarityWeights.uniform()
-        sequential = estimate_confidence(ss, weights, local_provider, workers=1)
-        parallel = estimate_confidence(ss, weights, local_provider, workers=4)
-        assert sequential.confidence == parallel.confidence
-        assert sequential.pair_sims == parallel.pair_sims
+    @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS),
+                                                 (Language.JAVA, JAVA_CORPUS)],
+                             ids=["python", "java"])
+    def test_confidence_is_modality_means_dot_weights(self, language, corpus,
+                                                       local_provider):
+        ss = SampleSet("req-1", "a requirement",
+                       tuple(Program(s, language) for s in corpus[:4]))
+        weights = SimilarityWeights(0.4, 0.3, 0.2, 0.1)
+        means = modality_means(ss, local_provider)
+        expected = sum(m * x for m, x in zip(means, weights.as_tuple()))
+        report = estimate_confidence(ss, weights, local_provider)
+        assert report.confidence == pytest.approx(expected, abs=1e-12)
 
     def test_pair_breakdown_hybrid_consistent(self, local_provider):
         weights = SimilarityWeights(0.4, 0.3, 0.2, 0.1)

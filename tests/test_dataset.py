@@ -191,3 +191,18 @@ class TestSampleArchive:
                                           "verdict": "ok"}]}])
         with pytest.raises(MalformedLine):
             load_samples(path)
+
+    @pytest.mark.parametrize("program", [
+        {"source": "x", "temperature": 0.5, "token_probs": [0.9, 0.0]},
+        {"source": "x", "temperature": 0.5, "token_probs": [1.5]},
+        {"source": "x", "temperature": 2.5},
+        {"source": "x", "temperature": -0.1},
+    ])
+    def test_out_of_range_origin_fields_report_line_number(self, tmp_path, program):
+        path = tmp_path / "arch.jsonl"
+        write_lines(path, [{"id": "a", "model": "m",
+                            "programs": [{"source": "y", "temperature": 0}]},
+                           {"id": "b", "model": "m", "programs": [program]}])
+        with pytest.raises(MalformedLine) as exc:
+            load_samples(path)
+        assert exc.value.line_number == 2

@@ -9,8 +9,7 @@ from honest.model import Language, Program, SampleSet
 
 
 def report(confidence, rid="r1"):
-    return ConfidenceReport(requirement_id=rid, n=2, pair_sims=((None, None), (None, None)),
-                            confidence=confidence)
+    return ConfidenceReport(requirement_id=rid, n=2, confidence=confidence)
 
 
 def samples(rid="r1"):
