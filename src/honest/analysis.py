@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from pygments.lexers import JavaLexer
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
@@ -197,8 +197,7 @@ def _parse_java_group(tokens: list[tuple[str, str]], pos: int, closer: str | Non
     return nodes, pos
 
 
-def _parse_java(source: str) -> CstNode:
-    tokens = _java_tokens(source)
+def _parse_java(tokens: list[tuple[str, str]]) -> CstNode:
     nodes, _ = _parse_java_group(tokens, 0, None, True)
     return CstNode("compilation_unit", tuple(nodes))
 
@@ -213,13 +212,7 @@ def parse_cst(program: Program) -> CstNode:
     Malformed input yields a tree containing ERROR nodes rather than failing:
     for Python, one ERROR leaf per dropped line, after the surviving nodes.
     """
-    if program.language is Language.PYTHON:
-        module, dropped = _parse_python_ast(program.source)
-        tree = _convert_py(module)
-        return CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped)
-    if program.language is Language.JAVA:
-        return _parse_java(program.source)
-    raise UnsupportedLanguage(str(program.language))
+    return _cst_and_dataflow(program)[0]
 
 
 def _fingerprint(node: CstNode, height: int) -> str:
@@ -316,8 +309,7 @@ _JAVA_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", 
 _JAVA_COMPOUND_PREFIXES = {"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", ">>>"}
 
 
-def _java_dataflow(source: str) -> Counter:
-    tokens = _java_tokens(source)
+def _java_dataflow(tokens: list[tuple[str, str]]) -> Counter:
     edges: Counter = Counter()
     # statement boundaries: ; { } anywhere (so for-header clauses split too)
     segment: list[tuple[str, str]] = []
@@ -375,11 +367,20 @@ def extract_dataflow(program: Program) -> DataflowGraph:
     For each assignment, every variable read on the right-hand side emits an
     edge to each variable defined on the left-hand side.
     """
-    if program.language is Language.PYTHON:
-        visitor = _PyDefUse()
-        visitor.visit(_parse_python_ast(program.source)[0])
-        return DataflowGraph(visitor.edges)
-    if program.language is Language.JAVA:
-        return DataflowGraph(_java_dataflow(program.source))
-    raise UnsupportedLanguage(str(program.language))
+    return _cst_and_dataflow(program)[1]
 
+
+def _cst_and_dataflow(program: Program) -> tuple[CstNode, DataflowGraph]:
+    """``(parse_cst(program), extract_dataflow(program))`` from one Python
+    parse (with its error recovery) or one Java lexing."""
+    if program.language is Language.PYTHON:
+        module, dropped = _parse_python_ast(program.source)
+        tree = _convert_py(module)
+        visitor = _PyDefUse()
+        visitor.visit(module)
+        return (CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped),
+                DataflowGraph(visitor.edges))
+    if program.language is Language.JAVA:
+        tokens = _java_tokens(program.source)
+        return _parse_java(tokens), DataflowGraph(_java_dataflow(tokens))
+    raise UnsupportedLanguage(str(program.language))

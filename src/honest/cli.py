@@ -20,7 +20,6 @@ from .errors import (
     EndpointError,
     HonestError,
     ProviderUnavailable,
-    TooFewSamples,
 )
 from .gate import decide, decision_to_json
 from .model import Language, Origin, Program, SampleSet

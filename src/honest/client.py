@@ -9,9 +9,8 @@ import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Optional
 
 import requests

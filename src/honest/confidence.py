@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import DEFAULT_SUBTREE_HEIGHT, extract_dataflow, extract_subtrees, parse_cst
-from .embeddings import EmbeddingProviderConfig, embed
+from .analysis import DEFAULT_SUBTREE_HEIGHT, _cst_and_dataflow, extract_subtrees
+from .embeddings import EmbeddingProviderConfig, _embed_tokenized
 from .errors import DegenerateLabels, TooFewSamples
 from .model import Program, SampleSet, tokenize
 from .similarity import (
@@ -50,11 +50,13 @@ class ProgramAnalysis:
 
 def analyze_program(program: Program, provider: EmbeddingProviderConfig,
                     height: int = DEFAULT_SUBTREE_HEIGHT) -> ProgramAnalysis:
+    tokens = tokenize(program)
+    tree, dataflow = _cst_and_dataflow(program)
     return ProgramAnalysis(
-        tokens=tokenize(program),
-        subtree_bag=extract_subtrees(parse_cst(program), height),
-        dataflow=extract_dataflow(program),
-        embedding=embed(program, provider),
+        tokens=tokens,
+        subtree_bag=extract_subtrees(tree, height),
+        dataflow=dataflow,
+        embedding=_embed_tokenized(program, tokens, provider),
     )
 
 

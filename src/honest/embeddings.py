@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import os
 import re
 import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
 
 import requests
 
@@ -25,7 +27,7 @@ from .errors import (
     ProviderUnavailable,
     ZeroVector,
 )
-from .model import Program, tokenize
+from .model import Program, TokenSequence, tokenize
 
 _HASH_SEED = b"honest-localhashed-v1"  # fixed: vectors must be reproducible
 
@@ -44,6 +46,11 @@ class EmbeddingVector:
         return len(self.values)
 
     def norm(self) -> float:
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
+        # kept: a program's vector is compared against every other program's
         return math.sqrt(sum(v * v for v in self.values))
 
 
@@ -73,7 +80,7 @@ def _bucket(feature: str, dimension: int) -> tuple[int, float]:
     return (value >> 1) % dimension, sign
 
 
-def _hashed_vector(tokens: list[str], dimension: int) -> EmbeddingVector:
+def _hashed_vector(tokens: Sequence[str], dimension: int) -> EmbeddingVector:
     counts = [0.0] * dimension
     features = list(tokens)
     features += [a + "\x00" + b for a, b in zip(tokens, tokens[1:])]
@@ -151,8 +158,17 @@ def _remote_embed(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector
 def embed(program: Program, config: EmbeddingProviderConfig) -> EmbeddingVector:
     """Embed a program's source. Deterministic for the local-hashed provider."""
     if config.kind is ProviderKind.LOCAL_HASHED:
-        return _hashed_vector(list(tokenize(program).tokens), config.dimension)
+        return _hashed_vector(tokenize(program).tokens, config.dimension)
     return _remote_embed(program.source, config)
+
+
+def _embed_tokenized(program: Program, tokens: TokenSequence,
+                     config: EmbeddingProviderConfig) -> EmbeddingVector:
+    """``embed(program, config)`` given ``tokens == tokenize(program)``: the
+    local-hashed provider hashes *tokens* instead of lexing the source again."""
+    if config.kind is ProviderKind.LOCAL_HASHED:
+        return _hashed_vector(tokens.tokens, config.dimension)
+    return embed(program, config)
 
 
 def embed_text(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
@@ -173,5 +189,5 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     na, nb = a.norm(), b.norm()
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine undefined for a zero vector")
-    dot = sum(x * y for x, y in zip(a.values, b.values))
+    dot = sum(map(operator.mul, a.values, b.values))
     return min(1.0, max(0.0, dot / (na * nb)))

@@ -6,8 +6,10 @@ survive as single tokens.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from pygments.lexers import JavaLexer, PythonLexer
@@ -57,6 +59,13 @@ class Program:
     origin: Optional[Origin] = None
 
 
+MAX_NGRAM_ORDER = 4
+
+
+def ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
+    return Counter(tuple(tokens[k:k + n]) for k in range(len(tokens) - n + 1))
+
+
 @dataclass(frozen=True)
 class TokenSequence:
     tokens: tuple[str, ...]
@@ -67,6 +76,13 @@ class TokenSequence:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+    @cached_property
+    def ngrams(self) -> tuple[Counter, ...]:
+        """n-gram counts for n = 1..MAX_NGRAM_ORDER, built on first use and
+        kept: a program's sequence is compared against every other program's.
+        Not a field, so equality and hashing see only the tokens."""
+        return tuple(ngram_counts(self.tokens, n) for n in range(1, MAX_NGRAM_ORDER + 1))
 
 
 @dataclass(frozen=True)

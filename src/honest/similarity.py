@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from .analysis import DataflowGraph, SubtreeBag
 from .embeddings import EmbeddingVector, cosine
 from .errors import ComponentOutOfRange
-from .model import TokenSequence
-
-MAX_NGRAM_ORDER = 4
+from .model import MAX_NGRAM_ORDER, TokenSequence
 
 _SUM_TOL = 1e-9
 
@@ -53,8 +51,9 @@ class SimilarityBreakdown:
     hybrid: float
 
 
-def ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tuple(tokens[k:k + n]) for k in range(len(tokens) - n + 1))
+def _overlap(counts_i: Counter, counts_j: Counter) -> int:
+    """Clipped multiset overlap: sum of min(count_i, count_j) over shared keys."""
+    return sum(min(counts_i[k], counts_j[k]) for k in counts_i.keys() & counts_j.keys())
 
 
 def sim_text(seq_i: TokenSequence, seq_j: TokenSequence) -> float:
@@ -64,20 +63,17 @@ def sim_text(seq_i: TokenSequence, seq_j: TokenSequence) -> float:
     weights renormalized; a single included order with zero overlap forces
     0. Two empty sequences score 1.
     """
-    ti, tj = seq_i.tokens, seq_j.tokens
     logs = []
-    for n in range(1, MAX_NGRAM_ORDER + 1):
-        total_j = len(tj) - n + 1
+    for n, ci, cj in zip(range(1, MAX_NGRAM_ORDER + 1), seq_i.ngrams, seq_j.ngrams):
+        total_j = len(seq_j) - n + 1
         if total_j <= 0:
             continue
-        cj = ngram_counts(tj, n)
-        ci = ngram_counts(ti, n)
-        overlap = sum(min(ci[g], c) for g, c in cj.items())
+        overlap = _overlap(ci, cj)
         if overlap == 0:
             return 0.0
         logs.append(math.log(overlap / total_j))
     if not logs:
-        return 1.0 if len(ti) == 0 else 0.0
+        return 1.0 if len(seq_i) == 0 else 0.0
     return min(1.0, math.exp(sum(logs) / len(logs)))
 
 
@@ -85,8 +81,7 @@ def _clipped_ratio(counts_i: Counter, counts_j: Counter) -> float:
     total_j = sum(counts_j.values())
     if total_j == 0:
         return 1.0 if sum(counts_i.values()) == 0 else 0.0
-    overlap = sum(min(counts_i[k], c) for k, c in counts_j.items())
-    return overlap / total_j
+    return _overlap(counts_i, counts_j) / total_j
 
 
 def sim_syntax(bag_i: SubtreeBag, bag_j: SubtreeBag) -> float:

@@ -1,9 +1,12 @@
+import ast
 import json
 import random
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
 
+from honest import confidence, embeddings, model
+from honest.analysis import extract_dataflow, extract_subtrees, parse_cst
 from honest.confidence import (
     estimate_confidence,
     load_weights,
@@ -17,6 +20,7 @@ from honest.confidence import (
     analyze_program,
 )
 from honest.errors import DegenerateLabels, TooFewSamples
+from honest.embeddings import embed
 from honest.model import Language, Program, SampleSet
 from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
 
@@ -179,6 +183,46 @@ class TestTuneWeights:
         data = json.loads(path.read_text())
         assert data["train_auroc"] == 0.875
         assert load_weights(path) == SimilarityWeights(0.1, 0.2, 0.3, 0.4)
+
+
+class TestAnalyzeProgram:
+    def test_tokenizes_once(self, local_provider, monkeypatch):
+        calls = []
+        real = model.tokenize
+
+        def counted(program):
+            calls.append(program)
+            return real(program)
+
+        for module in (model, confidence, embeddings):
+            monkeypatch.setattr(module, "tokenize", counted)
+        program = py(PYTHON_CORPUS[4])
+        analyze_program(program, local_provider)
+        assert calls == [program]
+
+    def test_parses_clean_python_once(self, local_provider, monkeypatch):
+        calls = []
+        real = ast.parse
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counted)
+        analyze_program(py(PYTHON_CORPUS[5]), local_provider)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("program", [
+        py(PYTHON_CORPUS[6]),
+        py("def f(x):\n    y = x +\n    return y\nz = f(1)\n"),
+        Program(JAVA_CORPUS[2], Language.JAVA),
+        Program("class A { int f(int x) { int y = (x + 1; return y; }", Language.JAVA),
+    ], ids=["python", "python-damaged", "java", "java-damaged"])
+    def test_equals_the_public_functions(self, program, local_provider):
+        analysis = analyze_program(program, local_provider)
+        assert analysis.embedding == embed(program, local_provider)
+        assert analysis.subtree_bag == extract_subtrees(parse_cst(program))
+        assert analysis.dataflow == extract_dataflow(program)
 
 
 class TestModalityMeans:

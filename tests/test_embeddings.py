@@ -68,6 +68,13 @@ class TestRemote:
 
 
 class TestCosine:
+    def test_cached_norm_leaves_equality_and_hash_alone(self):
+        a = EmbeddingVector((3.0, 4.0))
+        b = EmbeddingVector((3.0, 4.0))
+        assert a.norm() == 5.0  # computed and cached on a only
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
     def test_identical_direction(self):
         assert cosine(EmbeddingVector((1.0, 0.0)), EmbeddingVector((1.0, 0.0))) == 1.0
 

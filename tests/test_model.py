@@ -73,3 +73,10 @@ class TestTypes:
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError):
             TokenSequence(("a", ""))
+
+    def test_cached_ngrams_leave_equality_and_hash_alone(self):
+        a = tokenize(py(PYTHON_CORPUS[3]))
+        b = tokenize(py(PYTHON_CORPUS[3]))
+        assert a.ngrams[0]  # computed and cached on a only
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1

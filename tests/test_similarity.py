@@ -3,12 +3,12 @@ import random
 from collections import Counter
 
 import pytest
-from corpus import PYTHON_CORPUS
+from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honest.analysis import DataflowGraph, SubtreeBag, extract_dataflow, extract_subtrees, parse_cst
-from honest.embeddings import EmbeddingVector
+from honest.embeddings import EmbeddingVector, embed
 from honest.errors import ComponentOutOfRange
 from honest.model import Language, Program, TokenSequence, tokenize
 from honest.similarity import (
@@ -195,3 +195,84 @@ class TestIdentityOnRealPrograms:
         assert sim_text(toks, toks) == pytest.approx(1.0, abs=1e-9)
         assert sim_syntax(bag, bag) == pytest.approx(1.0, abs=1e-9)
         assert sim_dataflow(dfg, dfg) == pytest.approx(1.0, abs=1e-9)
+
+
+def _seed_ngram_counts(tokens, n):
+    return Counter(tuple(tokens[k:k + n]) for k in range(len(tokens) - n + 1))
+
+
+def seed_sim_text(seq_i, seq_j):
+    """sim_text as first written: rebuilds both sides' Counters per call and
+    clips with a lookup for every n-gram of seq_j."""
+    ti, tj = seq_i.tokens, seq_j.tokens
+    logs = []
+    for n in range(1, 5):
+        total_j = len(tj) - n + 1
+        if total_j <= 0:
+            continue
+        cj = _seed_ngram_counts(tj, n)
+        ci = _seed_ngram_counts(ti, n)
+        overlap = sum(min(ci[g], c) for g, c in cj.items())
+        if overlap == 0:
+            return 0.0
+        logs.append(math.log(overlap / total_j))
+    if not logs:
+        return 1.0 if len(ti) == 0 else 0.0
+    return min(1.0, math.exp(sum(logs) / len(logs)))
+
+
+def seed_cosine(a, b):
+    na = math.sqrt(sum(v * v for v in a.values))
+    nb = math.sqrt(sum(v * v for v in b.values))
+    dot = sum(x * y for x, y in zip(a.values, b.values))
+    return min(1.0, max(0.0, dot / (na * nb)))
+
+
+def seed_clipped_ratio(counts_i, counts_j):
+    total_j = sum(counts_j.values())
+    if total_j == 0:
+        return 1.0 if sum(counts_i.values()) == 0 else 0.0
+    return sum(min(counts_i[k], c) for k, c in counts_j.items()) / total_j
+
+
+class TestBitIdenticalToSeedFormulas:
+    """The cached n-grams and norms and the shared overlap helper change no
+    score, not even in the last bit: every comparison here is ==, not approx."""
+
+    @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS),
+                                                 (Language.JAVA, JAVA_CORPUS)],
+                             ids=["python", "java"])
+    def test_corpus_pairs(self, language, corpus, local_provider):
+        programs = [Program(s, language) for s in corpus]
+        toks = [tokenize(p) for p in programs]
+        bags = [extract_subtrees(parse_cst(p)) for p in programs]
+        dfgs = [extract_dataflow(p) for p in programs]
+        vecs = [embed(p, local_provider) for p in programs]
+        for i in range(len(programs)):
+            for j in range(len(programs)):
+                assert sim_text(toks[i], toks[j]) == seed_sim_text(toks[i], toks[j])
+                assert sim_embed(vecs[i], vecs[j]) == seed_cosine(vecs[i], vecs[j])
+                assert sim_syntax(bags[i], bags[j]) == seed_clipped_ratio(
+                    bags[i].entries, bags[j].entries)
+                assert sim_dataflow(dfgs[i], dfgs[j]) == seed_clipped_ratio(
+                    dfgs[i].edges, dfgs[j].edges)
+
+    def test_random_token_lists(self):
+        rng = random.Random(11)
+        vocab = ["a", "b", "c", "d", "(", ")"]
+        seqs = [seq(*rng.choices(vocab, k=rng.randint(0, 40))) for _ in range(60)]
+        seqs += [seq(), seq("a"), seq("a", "b"), seq("a", "b", "c")]
+        for s_i in seqs:
+            for s_j in seqs:
+                assert sim_text(s_i, s_j) == seed_sim_text(s_i, s_j)
+
+    def test_random_multisets(self):
+        rng = random.Random(12)
+        keys = ["k%d" % k for k in range(8)]
+        counters = [Counter({k: rng.randint(1, 4) for k in rng.sample(keys, rng.randint(0, 8))})
+                    for _ in range(30)]
+        for c_i in counters:
+            for c_j in counters:
+                want = seed_clipped_ratio(c_i, c_j)
+                assert sim_syntax(SubtreeBag(c_i), SubtreeBag(c_j)) == want
+                assert sim_dataflow(DataflowGraph(c_i), DataflowGraph(c_j)) == want
