@@ -149,57 +149,71 @@ def _head_kind(head: list[CstNode], in_type_body: bool) -> str:
     return "block_construct"
 
 
-def _parse_java_group(tokens: list[tuple[str, str]], pos: int, closer: str | None,
-                      in_type_body: bool) -> tuple[list[CstNode], int]:
-    """Parse until *closer* (or EOF), returning sibling nodes and new position."""
-    nodes: list[CstNode] = []
-    head: list[CstNode] = []  # tokens of the statement being accumulated
+class _JavaGroup:
+    """One open bracket of the Java parser: the sibling nodes parsed so far
+    and the tokens of the statement being accumulated."""
 
-    def flush(kind: str = "statement"):
-        nonlocal head
-        if head:
-            nodes.append(CstNode(kind, tuple(head)))
-            head = []
+    __slots__ = ("closer", "in_type_body", "construct_kind", "nodes", "head")
 
-    while pos < len(tokens):
-        kind, text = tokens[pos]
-        if closer is not None and text == closer:
-            return nodes, pos + 1
-        if text == "{":
-            construct_kind = _head_kind(head, in_type_body)
-            body_is_type = construct_kind in set(_JAVA_DECL_KINDS.values())
-            children, pos = _parse_java_group(tokens, pos + 1, "}", body_is_type)
-            nodes.append(CstNode(construct_kind,
-                                 tuple(head) + (CstNode("block", tuple(children)),)))
-            head = []
-            continue
-        if text == "(":
-            children, pos = _parse_java_group(tokens, pos + 1, ")", False)
-            head.append(CstNode("paren_group", tuple(children)))
-            continue
-        if text in ")}":
-            # unbalanced closer: keep going, record the damage
-            head.append(CstNode("ERROR"))
-            pos += 1
-            continue
-        if text == ";":
-            flush()
-            pos += 1
-            continue
-        head.append(CstNode(kind))
-        pos += 1
+    def __init__(self, closer: str | None, in_type_body: bool,
+                 construct_kind: str | None = None):
+        self.closer = closer
+        self.in_type_body = in_type_body
+        self.construct_kind = construct_kind  # None for "(" and the top level
+        self.nodes: list[CstNode] = []
+        self.head: list[CstNode] = []
 
-    if closer is not None:
-        flush()
-        nodes.append(CstNode("ERROR"))
-        return nodes, pos
-    flush()
-    return nodes, pos
+    def flush(self):
+        if self.head:
+            self.nodes.append(CstNode("statement", tuple(self.head)))
+            self.head = []
+
+
+def _close_java_group(stack: list[_JavaGroup]):
+    """Pop the innermost group and attach it to its parent. A statement still
+    pending in the popped group is dropped."""
+    group = stack.pop()
+    parent = stack[-1]
+    if group.construct_kind is None:
+        parent.head.append(CstNode("paren_group", tuple(group.nodes)))
+    else:
+        parent.nodes.append(CstNode(group.construct_kind, tuple(parent.head)
+                                    + (CstNode("block", tuple(group.nodes)),)))
+        parent.head = []
+
+
+_JAVA_DECL_KIND_VALUES = frozenset(_JAVA_DECL_KINDS.values())
 
 
 def _parse_java(tokens: list[tuple[str, str]]) -> CstNode:
-    nodes, _ = _parse_java_group(tokens, 0, None, True)
-    return CstNode("compilation_unit", tuple(nodes))
+    """Brace blocks, parenthesized groups and semicolon statements over the
+    token stream. An explicit stack of open groups, so nesting depth is
+    bounded by memory, not by the interpreter's recursion limit. Groups still
+    open at the end of input are closed with a trailing ERROR node."""
+    stack = [_JavaGroup(None, True)]
+    for kind, text in tokens:
+        group = stack[-1]
+        if text == group.closer:
+            _close_java_group(stack)
+        elif text == "{":
+            construct_kind = _head_kind(group.head, group.in_type_body)
+            stack.append(_JavaGroup("}", construct_kind in _JAVA_DECL_KIND_VALUES,
+                                    construct_kind))
+        elif text == "(":
+            stack.append(_JavaGroup(")", False))
+        elif text in ")}":
+            # unbalanced closer: keep going, record the damage
+            group.head.append(CstNode("ERROR"))
+        elif text == ";":
+            group.flush()
+        else:
+            group.head.append(CstNode(kind))
+    while len(stack) > 1:
+        stack[-1].flush()
+        stack[-1].nodes.append(CstNode("ERROR"))
+        _close_java_group(stack)
+    stack[0].flush()
+    return CstNode("compilation_unit", tuple(stack[0].nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -136,10 +136,6 @@ class Bm25Index:
         return total
 
 
-def bm25_score(query_tokens: Sequence[str], index: Bm25Index, doc_id: int) -> float:
-    return index.score(query_tokens, doc_id)
-
-
 @dataclass
 class EmbeddingCorpus:
     """Pre-embedded requirements with labels for embedding K-NNS."""

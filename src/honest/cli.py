@@ -165,7 +165,7 @@ def cmd_sample(args) -> int:
 
     entries = []
     for rid, requirement, lang in targets:
-        records = client.sample_records(requirement, lang, config, rid)
+        records = client.sample_records(requirement, lang, config)
         entries.append(dataset.SampleArchiveEntry(
             id=rid, model=config.model,
             programs=tuple(

@@ -176,8 +176,7 @@ def _one_completion(requirement: str, language: Language, temperature: float,
 
 
 def sample_records(requirement: str, language: Language,
-                   config: SamplingConfig,
-                   requirement_id: str = "") -> list[GenerationRecord]:
+                   config: SamplingConfig) -> list[GenerationRecord]:
     temps = config.temperatures()
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         futures = [pool.submit(_one_completion, requirement, language, t, i, config)
@@ -194,7 +193,7 @@ def sample_programs(requirement: str, language: Language,
     set preserves request order. Raises TooFewUsable when fewer than two
     responses yield a non-empty program.
     """
-    records = sample_records(requirement, language, config, requirement_id)
+    records = sample_records(requirement, language, config)
     usable = [r.program for r in records if r.program.source.strip()]
     if not usable:
         raise EmptyCompletion("every completion was empty")

@@ -79,14 +79,31 @@ def _pairs(samples: SampleSet, weights: SimilarityWeights,
            provider: EmbeddingProviderConfig) -> list[SimilarityBreakdown]:
     """Breakdowns of all N*(N-1) ordered pairs (i, j), i != j, in row order.
 
-    Each program is analysed once; its analysis is reused across its pairs.
+    The analysis reads only a program's source and the set's one language,
+    so identical sources are analysed once, at the index where the source
+    first appears, and each distinct ordered pair of those first indices is
+    compared once. Copies share that one breakdown, so its ``i`` and ``j``
+    are the first indices, not the pair's own.
     """
     n = len(samples)
     if n < 2:
         raise TooFewSamples(f"need at least 2 programs, got {n}")
-    analyses = [analyze_program(p, provider) for p in samples.programs]
-    return [pair_breakdown(i, j, analyses[i], analyses[j], weights)
-            for i in range(n) for j in range(n) if i != j]
+    first: dict[str, int] = {}
+    keys = [first.setdefault(p.source, k) for k, p in enumerate(samples.programs)]
+    analyses = {k: analyze_program(samples.programs[k], provider)
+                for k in first.values()}
+    memo: dict[tuple[int, int], SimilarityBreakdown] = {}
+    pairs = []
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            if i == j:
+                continue
+            bd = memo.get((ki, kj))
+            if bd is None:
+                bd = memo[ki, kj] = pair_breakdown(ki, kj, analyses[ki], analyses[kj],
+                                                   weights)
+            pairs.append(bd)
+    return pairs
 
 
 def estimate_confidence(samples: SampleSet, weights: SimilarityWeights,

@@ -52,8 +52,19 @@ class SimilarityBreakdown:
 
 
 def _overlap(counts_i: Counter, counts_j: Counter) -> int:
-    """Clipped multiset overlap: sum of min(count_i, count_j) over shared keys."""
-    return sum(min(counts_i[k], counts_j[k]) for k in counts_i.keys() & counts_j.keys())
+    """Clipped multiset overlap: sum of min(count_i, count_j) over shared keys.
+
+    One pass over the smaller Counter, one lookup per key in the larger.
+    """
+    if len(counts_i) > len(counts_j):
+        counts_i, counts_j = counts_j, counts_i
+    get = counts_j.get
+    total = 0
+    for key, count in counts_i.items():
+        other = get(key)
+        if other is not None:
+            total += count if count < other else other
+    return total
 
 
 def sim_text(seq_i: TokenSequence, seq_j: TokenSequence) -> float:

@@ -1,10 +1,14 @@
+import random
 from collections import Counter
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
 
 from honest.analysis import (
+    _JAVA_DECL_KINDS,
     CstNode,
+    _head_kind,
+    _java_tokens,
     extract_dataflow,
     extract_subtrees,
     parse_cst,
@@ -161,3 +165,94 @@ class TestExtractDataflow:
     def test_parse_error_best_effort(self):
         edges = extract_dataflow(py("a = 1\nb = a\ndef broken(:\n")).edges
         assert edges == Counter({("a", "b"): 1})
+
+
+def seed_parse_java_group(tokens, pos, closer, in_type_body):
+    """The Java group parser as first written, recursing once per bracket."""
+    nodes, head = [], []
+
+    def flush(kind="statement"):
+        nonlocal head
+        if head:
+            nodes.append(CstNode(kind, tuple(head)))
+            head = []
+
+    while pos < len(tokens):
+        kind, text = tokens[pos]
+        if closer is not None and text == closer:
+            return nodes, pos + 1
+        if text == "{":
+            construct_kind = _head_kind(head, in_type_body)
+            body_is_type = construct_kind in set(_JAVA_DECL_KINDS.values())
+            children, pos = seed_parse_java_group(tokens, pos + 1, "}", body_is_type)
+            nodes.append(CstNode(construct_kind,
+                                 tuple(head) + (CstNode("block", tuple(children)),)))
+            head = []
+            continue
+        if text == "(":
+            children, pos = seed_parse_java_group(tokens, pos + 1, ")", False)
+            head.append(CstNode("paren_group", tuple(children)))
+            continue
+        if text in ")}":
+            head.append(CstNode("ERROR"))
+            pos += 1
+            continue
+        if text == ";":
+            flush()
+            pos += 1
+            continue
+        head.append(CstNode(kind))
+        pos += 1
+    if closer is not None:
+        flush()
+        nodes.append(CstNode("ERROR"))
+    else:
+        flush()
+    return nodes, pos
+
+
+def seed_parse_java(source):
+    nodes, _ = seed_parse_java_group(_java_tokens(source), 0, None, True)
+    return CstNode("compilation_unit", tuple(nodes))
+
+
+def nested_java(depth):
+    expr = "(" * depth + "1" + ")" * depth
+    return "class Deep {\n    int value() {\n        int x = " + expr + ";\n    }\n}\n"
+
+
+class TestJavaParserIterative:
+    def test_same_tree_as_recursive_parser(self):
+        rng = random.Random(21)
+        pieces = ["{", "}", "(", ")", ";", "class A", "interface I", "if", "else",
+                  "for", "x", "=", "1", "int", "f", "return", "\"s\""]
+        sources = list(JAVA_CORPUS) + [nested_java(60), "{" * 60 + "x;" + "}" * 60,
+                                       "", ")}", "class A { void f() {"]
+        sources += [" ".join(rng.choices(pieces, k=rng.randint(0, 60)))
+                    for _ in range(400)]
+        for source in sources:
+            assert parse_cst(java(source)) == seed_parse_java(source), source
+
+    @pytest.mark.parametrize("depth", [3000, 10000])
+    def test_deep_parentheses_parse(self, depth):
+        program = java(nested_java(depth))
+        tree = parse_cst(program)
+        assert _count_kind_iterative(tree, "paren_group") >= 1
+        assert len(extract_subtrees(tree)) > 0
+        assert extract_dataflow(program).edges == Counter()
+
+    @pytest.mark.parametrize("depth", [3000, 10000])
+    def test_deep_blocks_keep_every_level(self, depth):
+        tree = parse_cst(java("{" * depth + "x;" + "}" * depth))
+        assert _count_kind_iterative(tree, "block") == depth
+        assert _count_kind_iterative(tree, "ERROR") == 0
+        assert sum(extract_subtrees(tree).entries.values()) == 2 * depth + 2
+
+
+def _count_kind_iterative(tree, kind):
+    count, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        count += node.kind == kind
+        stack.extend(node.children)
+    return count

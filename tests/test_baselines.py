@@ -10,7 +10,6 @@ from honest.baselines import (
     KnnConfig,
     KnnMetric,
     avg_prob,
-    bm25_score,
     knn_confidence,
     product_prob,
     self_ask_code,
@@ -114,11 +113,11 @@ class TestBm25:
         idf_common = math.log(1 + 1.5 / 2.5)
         per_term = 1 * 2.2 / (1 + 1.3125)
         expected = (idf_sort + 2 * idf_common) * per_term
-        got = bm25_score(text_tokens("sort the list"), self.index(), 0)
+        got = self.index().score(text_tokens("sort the list"), 0)
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_disjoint_query_scores_zero(self):
-        assert bm25_score(text_tokens("unrelated words"), self.index(), 0) == 0.0
+        assert self.index().score(text_tokens("unrelated words"), 0) == 0.0
 
     def test_matching_doc_outranks_others(self):
         index = self.index()

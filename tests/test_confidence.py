@@ -234,3 +234,89 @@ class TestModalityMeans:
             report = estimate_confidence(ss, weights, local_provider)
             mixed = sum(m * w for m, w in zip(means, weights.as_tuple()))
             assert report.confidence == pytest.approx(mixed, abs=1e-9)
+
+
+def seed_pairs(samples, weights, provider):
+    """The pair stage as first written: every program analysed and every
+    ordered pair compared, copies included."""
+    analyses = [analyze_program(p, provider) for p in samples.programs]
+    n = len(samples)
+    return [pair_breakdown(i, j, analyses[i], analyses[j], weights)
+            for i in range(n) for j in range(n) if i != j]
+
+
+def seed_modality_means(samples, provider):
+    pairs = seed_pairs(samples, SimilarityWeights.uniform(), provider)
+    sums = [0.0, 0.0, 0.0, 0.0]
+    for bd in pairs:
+        sums[0] += bd.text
+        sums[1] += bd.syntax
+        sums[2] += bd.dataflow
+        sums[3] += bd.embedding
+    return tuple(s / len(pairs) for s in sums)
+
+
+def _repeated_sets():
+    """Sets of four programs in each language whose sources repeat 0%, 50%
+    and 100%: all distinct, two distinct ones twice each (interleaved), and
+    one source four times."""
+    out = []
+    for language, corpus in ((Language.PYTHON, PYTHON_CORPUS),
+                             (Language.JAVA, JAVA_CORPUS)):
+        a, b, c, d = corpus[:4]
+        for name, sources in (("0%", [a, b, c, d]), ("50%", [a, b, a, b]),
+                              ("100%", [a, a, a, a])):
+            programs = tuple(Program(s, language) for s in sources)
+            out.append(pytest.param(SampleSet("req-1", "a requirement", programs),
+                                    id=f"{language.value}-{name}"))
+    return out
+
+
+class TestDistinctPrograms:
+    """Identical samples are analysed once and each distinct ordered pair of
+    sources is compared once; every score equals the all-pairs loop's."""
+
+    @pytest.mark.parametrize("samples", _repeated_sets())
+    def test_analyses_each_distinct_source_once(self, samples, local_provider,
+                                                monkeypatch):
+        seen = []
+        real = confidence.analyze_program
+
+        def counted(program, provider, *args):
+            seen.append(program.source)
+            return real(program, provider, *args)
+
+        monkeypatch.setattr(confidence, "analyze_program", counted)
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+        sources = [p.source for p in samples.programs]
+        assert sorted(seen) == sorted(set(sources))
+
+    @pytest.mark.parametrize("samples", _repeated_sets())
+    def test_compares_each_distinct_ordered_pair_once(self, samples, local_provider,
+                                                      monkeypatch):
+        keys = []
+        real = confidence.pair_breakdown
+
+        def counted(i, j, a_i, a_j, weights):
+            keys.append((i, j))
+            return real(i, j, a_i, a_j, weights)
+
+        monkeypatch.setattr(confidence, "pair_breakdown", counted)
+        modality_means(samples, local_provider)
+        sources = [p.source for p in samples.programs]
+        first = [sources.index(s) for s in sources]
+        n = len(sources)
+        want = {(first[i], first[j]) for i in range(n) for j in range(n) if i != j}
+        assert len(keys) == len(set(keys))
+        assert set(keys) == want
+
+    @pytest.mark.parametrize("samples", _repeated_sets())
+    def test_scores_equal_all_pairs_loop(self, samples, local_provider):
+        for weights in (SimilarityWeights.uniform(),
+                        SimilarityWeights(0.4, 0.3, 0.2, 0.1)):
+            want = pairwise_confidence(
+                [bd.hybrid for bd in seed_pairs(samples, weights, local_provider)])
+            report = estimate_confidence(samples, weights, local_provider)
+            assert report.confidence == want
+        assert modality_means(samples, local_provider) == seed_modality_means(
+            samples, local_provider)

@@ -13,6 +13,7 @@ from honest.errors import ComponentOutOfRange
 from honest.model import Language, Program, TokenSequence, tokenize
 from honest.similarity import (
     SimilarityWeights,
+    _overlap,
     sim_dataflow,
     sim_embed,
     sim_hybrid,
@@ -232,7 +233,13 @@ def seed_clipped_ratio(counts_i, counts_j):
     total_j = sum(counts_j.values())
     if total_j == 0:
         return 1.0 if sum(counts_i.values()) == 0 else 0.0
-    return sum(min(counts_i[k], c) for k, c in counts_j.items()) / total_j
+    return seed_overlap(counts_i, counts_j) / total_j
+
+
+def seed_overlap(counts_i, counts_j):
+    """The clipped overlap as first written: a Counter lookup (0 when absent)
+    for every key of counts_j."""
+    return sum(min(counts_i[k], c) for k, c in counts_j.items())
 
 
 class TestBitIdenticalToSeedFormulas:
@@ -276,3 +283,26 @@ class TestBitIdenticalToSeedFormulas:
                 want = seed_clipped_ratio(c_i, c_j)
                 assert sim_syntax(SubtreeBag(c_i), SubtreeBag(c_j)) == want
                 assert sim_dataflow(DataflowGraph(c_i), DataflowGraph(c_j)) == want
+
+    def test_overlap_random_counters(self):
+        rng = random.Random(13)
+        keys = [("g", k) for k in range(12)]
+        counters = [Counter({k: rng.randint(1, 6) for k in rng.sample(keys, rng.randint(0, 12))})
+                    for _ in range(40)]
+        for c_i in counters:
+            for c_j in counters:
+                assert _overlap(c_i, c_j) == seed_overlap(c_i, c_j)
+                assert _overlap(c_j, c_i) == seed_overlap(c_i, c_j)
+
+    def test_overlap_disjoint_empty_and_same_object(self):
+        a = Counter({"x": 2, "y": 1})
+        b = Counter({"z": 5})
+        empty = Counter()
+        for c_i, c_j, want in ((a, b, 0), (b, a, 0), (a, empty, 0), (empty, a, 0),
+                               (empty, empty, 0), (a, a, 3), (b, b, 5)):
+            assert _overlap(c_i, c_j) == want == seed_overlap(c_i, c_j)
+
+    def test_overlap_larger_side_first(self):
+        small = Counter({"x": 3, "y": 1})
+        large = Counter({"x": 1, "y": 4, "z": 2, "w": 7})
+        assert _overlap(large, small) == _overlap(small, large) == 2
