@@ -7,7 +7,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from .client import (
@@ -72,15 +71,9 @@ def text_tokens(text: str) -> list[str]:
     return re.findall(r"\w+", text.lower())
 
 
-class KnnMetric(Enum):
-    BM25 = "bm25"
-    EMBEDDING = "embedding"
-
-
 @dataclass(frozen=True)
 class KnnConfig:
     k: int
-    metric: KnnMetric = KnnMetric.BM25
 
     def __post_init__(self):
         if self.k < 1:
@@ -93,8 +86,6 @@ class Bm25Index:
 
     documents: list[list[str]] = field(default_factory=list)
     labels: list[bool] = field(default_factory=list)
-    k1: float = BM25_K1
-    b: float = BM25_B
 
     def __post_init__(self):
         self._term_freqs = [Counter(d) for d in self.documents]
@@ -108,10 +99,10 @@ class Bm25Index:
                             if self.documents else 0.0)
 
     @classmethod
-    def build(cls, requirements: Sequence[str], labels: Sequence[bool],
-              k1: float = BM25_K1, b: float = BM25_B) -> "Bm25Index":
+    def build(cls, requirements: Sequence[str],
+              labels: Sequence[bool]) -> "Bm25Index":
         return cls(documents=[text_tokens(r) for r in requirements],
-                   labels=list(labels), k1=k1, b=b)
+                   labels=list(labels))
 
     def __len__(self) -> int:
         return len(self.documents)
@@ -124,15 +115,15 @@ class Bm25Index:
         if not 0 <= doc_id < len(self.documents):
             raise UnknownDocument(str(doc_id))
         tf = self._term_freqs[doc_id]
-        length_norm = self.k1 * (1.0 - self.b
-                                 + self.b * self._doc_lens[doc_id]
+        length_norm = BM25_K1 * (1.0 - BM25_B
+                                 + BM25_B * self._doc_lens[doc_id]
                                  / (self.avg_doc_len or 1.0))
         total = 0.0
         for term in query_tokens:
             freq = tf.get(term, 0)
             if freq == 0:
                 continue
-            total += self._idf(term) * freq * (self.k1 + 1) / (freq + length_norm)
+            total += self._idf(term) * freq * (BM25_K1 + 1) / (freq + length_norm)
         return total
 
 
@@ -179,14 +170,13 @@ def knn_confidence(requirement: str, index: Bm25Index | EmbeddingCorpus,
 
 def tune_k(train_queries: Sequence[str], train_labels: Sequence[bool],
            index: Bm25Index | EmbeddingCorpus,
-           metric: KnnMetric,
            sweep: Sequence[int] = K_SWEEP) -> int:
     """Pick k from the sweep by training AUROC, smallest k on ties."""
     from .evaluation import ScoredSample, auroc
 
     best_k, best_score = sweep[0], -1.0
     for k in sweep:
-        cfg = KnnConfig(k=k, metric=metric)
+        cfg = KnnConfig(k=k)
         scored = [
             ScoredSample(id=str(i),
                          score=knn_confidence(q, index, cfg),

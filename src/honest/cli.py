@@ -1,7 +1,6 @@
 """Command-line surface: sample, estimate, gate, eval, tune.
 
-Exit codes: 0 success, 2 usage/precondition error, 3 network error,
-4 unsupported feature.
+Exit codes: 0 success, 2 usage/precondition error, 3 network error.
 """
 from __future__ import annotations
 
@@ -11,7 +10,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 from . import baselines, client, confidence, dataset, evaluation
 from .client import ENDPOINT_ENV, SamplingConfig, SeedMode
@@ -25,15 +24,14 @@ from .gate import decide, decision_to_json
 from .model import Language, Origin, Program, SampleSet
 from .similarity import SimilarityWeights
 
+T = TypeVar("T")
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NETWORK = 3
-EXIT_UNSUPPORTED = 4
-
-_UNIMPLEMENTED_METHODS = {"code-classifier", "requirement-classifier"}
 
 METHODS = ("honest", "avg-prob", "product-prob", "self-ask-code",
-           "self-ask-req", "knn-bm25", "knn-embed") + tuple(_UNIMPLEMENTED_METHODS)
+           "self-ask-req", "knn-bm25", "knn-embed")
 
 
 class CliError(Exception):
@@ -101,16 +99,24 @@ def _maybe_print_config(args, resolved: dict) -> bool:
     return False
 
 
+def _checked(make: Callable[..., T], **fields) -> T:
+    """``make(**fields)`` for a config built from flags: the ValueError its
+    range checks raise becomes a usage error."""
+    try:
+        return make(**fields)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _provider_from_args(args) -> EmbeddingProviderConfig:
     if args.provider == "remote":
         if not args.embed_endpoint or not args.embed_model:
             raise CliError("remote provider needs --embed-endpoint and --embed-model")
-        return EmbeddingProviderConfig(kind=ProviderKind.REMOTE,
-                                       endpoint=args.embed_endpoint,
-                                       model_name=args.embed_model,
-                                       dimension=args.dimension)
-    return EmbeddingProviderConfig(kind=ProviderKind.LOCAL_HASHED,
-                                   dimension=args.dimension)
+        return _checked(EmbeddingProviderConfig, kind=ProviderKind.REMOTE,
+                        endpoint=args.embed_endpoint, model_name=args.embed_model,
+                        dimension=args.dimension)
+    return _checked(EmbeddingProviderConfig, kind=ProviderKind.LOCAL_HASHED,
+                    dimension=args.dimension)
 
 
 def _weights_from_args(args) -> SimilarityWeights:
@@ -123,21 +129,14 @@ def _weights_from_args(args) -> SimilarityWeights:
     return SimilarityWeights.uniform()
 
 
-def _sampling_config(args, resolved: dict) -> SamplingConfig:
+def _sampling_config(resolved: dict, **fields) -> SamplingConfig:
     endpoint = resolved["endpoint"]
     if not endpoint:
         raise CliError("no endpoint configured (flag, HONEST_ENDPOINT, or config file)")
     model = resolved["model"]
     if not model:
         raise CliError("no model configured")
-    seed_mode = (SeedMode.FIXED_SCHEDULE if getattr(args, "preset", None) == "five-temps"
-                 else SeedMode.INDEPENDENT)
-    return SamplingConfig(
-        endpoint=endpoint, model=model, n=args.n,
-        temperature=args.temperature, max_tokens=args.max_tokens,
-        parallelism=args.parallelism, seed_mode=seed_mode,
-        audit_log=getattr(args, "audit_log", None),
-    )
+    return _checked(SamplingConfig, endpoint=endpoint, model=model, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +147,12 @@ def cmd_sample(args) -> int:
     resolved = _resolved_config(args)
     if _maybe_print_config(args, resolved):
         return EXIT_OK
-    config = _sampling_config(args, resolved)
+    config = _sampling_config(
+        resolved, n=args.n, temperature=args.temperature,
+        max_tokens=args.max_tokens, parallelism=args.parallelism,
+        seed_mode=(SeedMode.FIXED_SCHEDULE if args.preset == "five-temps"
+                   else SeedMode.INDEPENDENT),
+        audit_log=args.audit_log)
     language = Language.parse(args.language)
 
     if args.benchmark:
@@ -294,11 +298,11 @@ def _scored_for_method(args, method: str, benchmark, entries, provider,
         elif method == "product-prob":
             score = baselines.product_prob(records_for(entry))
         elif method == "self-ask-code":
-            sampling = _sampling_config(args, resolved)
+            sampling = _sampling_config(resolved)
             programs = [r.program for r in records_for(entry)]
             score = baselines.self_ask_code(sample.requirement, programs, sampling)
         elif method == "self-ask-req":
-            sampling = _sampling_config(args, resolved)
+            sampling = _sampling_config(resolved)
             score = baselines.self_ask_requirement(sample.requirement, sampling)
         elif method in ("knn-bm25", "knn-embed"):
             score = None  # filled in below, index built once
@@ -319,13 +323,11 @@ def _scored_for_method(args, method: str, benchmark, entries, provider,
         labels = [s.labels[model] for s in train]
         if method == "knn-bm25":
             index = baselines.Bm25Index.build(reqs, labels)
-            metric = baselines.KnnMetric.BM25
         else:
             index = baselines.EmbeddingCorpus.build(reqs, labels, provider)
-            metric = baselines.KnnMetric.EMBEDDING
-        k = args.k or baselines.tune_k(reqs, labels, index, metric)
+        k = args.k or baselines.tune_k(reqs, labels, index)
         extra["k"] = k
-        cfg = baselines.KnnConfig(k=k, metric=metric)
+        cfg = _checked(baselines.KnnConfig, k=k)
         scored = [
             evaluation.ScoredSample(
                 id=s.id,
@@ -344,9 +346,6 @@ def cmd_eval(args) -> int:
     resolved = _resolved_config(args)
     if _maybe_print_config(args, resolved):
         return EXIT_OK
-    if args.method in _UNIMPLEMENTED_METHODS:
-        print(f"unimplemented baseline: {args.method}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
 
     benchmark = dataset.load_benchmark(args.benchmark)
     entries = dataset.load_samples(args.archive) if args.archive else []
@@ -493,10 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pr-mode", choices=["average-precision", "trapezoid"],
                    default="average-precision")
     p.add_argument("--endpoint")
-    p.add_argument("--n", type=int, default=20)
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--max-tokens", type=int, default=16)
-    p.add_argument("--parallelism", type=int, default=4)
     p.add_argument("--sweep-out")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)

@@ -11,11 +11,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from functools import partial
+from typing import Any, Callable, Optional, TypeVar
 
 import requests
 
-from .errors import EmptyCompletion, EndpointError, LogprobsUnavailable, TooFewUsable
+from .errors import (
+    EmptyCompletion,
+    EndpointError,
+    HonestError,
+    LogprobsUnavailable,
+    TooFewUsable,
+)
 from .model import Language, Origin, Program, SampleSet
 
 API_KEY_ENV = "HONEST_API_KEY"
@@ -25,6 +32,8 @@ ENDPOINT_ENV = "HONEST_ENDPOINT"
 FIXED_TEMPERATURES = (0.0, 0.2, 0.6, 0.8, 1.0)
 
 PROMPT_VERSION = "v1"
+
+T = TypeVar("T")
 
 # Zero-shot stand-in prompt; the exact production prompt is deployment-specific.
 CODEGEN_PROMPT = (
@@ -104,65 +113,78 @@ def extract_code_block(response: str) -> str:
     return response.strip()
 
 
-def _post_chat(url: str, payload: dict, config: SamplingConfig) -> dict:
+# What reading a JSON reply of the wrong shape raises: a missing key or index,
+# a value of the wrong type (or without the method read calls on it), or a
+# number out of range.
+_MALFORMED_REPLY = (LookupError, TypeError, AttributeError, ValueError, OverflowError)
+
+
+def _post_json(url: str, body: dict, read: Callable[[Any], T],
+               error: type[HonestError], *, retries: int, backoff: float,
+               timeout: float) -> T:
+    """POST *body* as JSON and return ``read(reply)``.
+
+    Tries ``retries + 1`` times, sleeping ``backoff * 2**(attempt - 1)``
+    between attempts. A transport error, an HTTP error status and a reply
+    that *read* cannot read each count as a failed attempt; after the last
+    one, raises *error*.
+    """
     headers = {}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    last_error: Exception | None = None
-    for attempt in range(config.retries + 1):
+    last_error = ""
+    for attempt in range(retries + 1):
         if attempt:
-            time.sleep(config.backoff * 2 ** (attempt - 1))
+            time.sleep(backoff * 2 ** (attempt - 1))
         try:
-            resp = requests.post(url, json=payload, headers=headers,
-                                 timeout=config.timeout)
+            resp = requests.post(url, json=body, headers=headers, timeout=timeout)
             resp.raise_for_status()
-            data = resp.json()
-            break
-        except (requests.RequestException, ValueError) as exc:
-            last_error = exc
-    else:
-        raise EndpointError(str(last_error))
+            return read(resp.json())
+        except requests.RequestException as exc:
+            last_error = str(exc)
+        except _MALFORMED_REPLY as exc:
+            last_error = f"malformed reply ({type(exc).__name__}: {exc})"
+    raise error(last_error)
+
+
+def _chat(prompt: str, temperature: float, max_tokens: int,
+          config: SamplingConfig, read: Callable[[dict], T]) -> T:
+    """One chat completion of *prompt*; returns ``read(choice)`` of its first
+    choice. Raises EndpointError after the configured retries."""
+    payload = {
+        "model": config.model,
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": temperature,
+        "max_tokens": max_tokens,
+        "logprobs": True,
+        "top_logprobs": 5,
+        "n": 1,
+    }
+    data, value = _post_json(
+        config.endpoint.rstrip("/") + "/chat/completions", payload,
+        lambda reply: (reply, read(reply["choices"][0])), EndpointError,
+        retries=config.retries, backoff=config.backoff, timeout=config.timeout)
     if config.audit_log:
         line = json.dumps({"request": payload, "response": data}, sort_keys=True)
         with _audit_lock:
             with open(config.audit_log, "a") as fh:
                 fh.write(line + "\n")
-    return data
+    return value
 
 
-def _completion_url(endpoint: str) -> str:
-    return endpoint.rstrip("/") + "/chat/completions"
+def _logprobs(choice: dict) -> list:
+    """The per-token log-probabilities of a choice; empty when it has none."""
+    return (choice.get("logprobs") or {}).get("content") or []
 
 
-def _token_probs(choice: dict) -> tuple[float, ...]:
-    logprobs = choice.get("logprobs") or {}
-    content = logprobs.get("content") or []
-    return tuple(math.exp(item["logprob"]) for item in content
-                 if item.get("logprob") is not None)
-
-
-def _one_completion(requirement: str, language: Language, temperature: float,
-                    index: int, config: SamplingConfig) -> GenerationRecord:
-    payload = {
-        "model": config.model,
-        "messages": [{
-            "role": "user",
-            "content": CODEGEN_PROMPT.format(language=language.value,
-                                             requirement=requirement),
-        }],
-        "temperature": temperature,
-        "max_tokens": config.max_tokens,
-        "logprobs": True,
-        "top_logprobs": 5,
-        "n": 1,
-    }
-    data = _post_chat(_completion_url(config.endpoint), payload, config)
-    choice = data["choices"][0]
+def _record(choice: dict, language: Language, temperature: float,
+            index: int) -> GenerationRecord:
     raw = choice["message"]["content"] or ""
     source = extract_code_block(raw)
     unfenced = _FENCE_RE.search(raw) is None
-    probs = _token_probs(choice)
+    probs = tuple(math.exp(item["logprob"]) for item in _logprobs(choice)
+                  if item.get("logprob") is not None)
     program = Program(
         source=source,
         language=language,
@@ -177,10 +199,12 @@ def _one_completion(requirement: str, language: Language, temperature: float,
 
 def sample_records(requirement: str, language: Language,
                    config: SamplingConfig) -> list[GenerationRecord]:
-    temps = config.temperatures()
+    prompt = CODEGEN_PROMPT.format(language=language.value, requirement=requirement)
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        futures = [pool.submit(_one_completion, requirement, language, t, i, config)
-                   for i, t in enumerate(temps)]
+        futures = [pool.submit(_chat, prompt, t, config.max_tokens, config,
+                               partial(_record, language=language,
+                                       temperature=t, index=i))
+                   for i, t in enumerate(config.temperatures())]
         return [f.result() for f in futures]  # request order, not arrival order
 
 
@@ -203,24 +227,10 @@ def sample_programs(requirement: str, language: Language,
                      programs=tuple(usable))
 
 
-def ask_yes_no(prompt: str, config: SamplingConfig) -> float:
-    """Probability mass on a "Yes" first token, renormalized over the combined
-    Yes/No mass when both appear in the top-k alternatives."""
-    payload = {
-        "model": config.model,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": 0.0,
-        "max_tokens": 4,
-        "logprobs": True,
-        "top_logprobs": 5,
-        "n": 1,
-    }
-    data = _post_chat(_completion_url(config.endpoint), payload, config)
-    choice = data["choices"][0]
-    logprobs = choice.get("logprobs") or {}
-    content = logprobs.get("content") or []
+def _yes_probability(choice: dict) -> Optional[float]:
+    content = _logprobs(choice)
     if not content:
-        raise LogprobsUnavailable("endpoint returned no log-probabilities")
+        return None
     alternatives = content[0].get("top_logprobs") or [content[0]]
     yes_mass = 0.0
     no_mass = 0.0
@@ -233,3 +243,12 @@ def ask_yes_no(prompt: str, config: SamplingConfig) -> float:
     if yes_mass > 0.0 and no_mass > 0.0:
         return yes_mass / (yes_mass + no_mass)
     return yes_mass
+
+
+def ask_yes_no(prompt: str, config: SamplingConfig) -> float:
+    """Probability mass on a "Yes" first token, renormalized over the combined
+    Yes/No mass when both appear in the top-k alternatives."""
+    score = _chat(prompt, 0.0, 4, config, _yes_probability)
+    if score is None:
+        raise LogprobsUnavailable("endpoint returned no log-probabilities")
+    return score

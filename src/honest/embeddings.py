@@ -9,18 +9,14 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-import os
 import re
 import threading
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Optional, Sequence
 
-import requests
-
-from .client import API_KEY_ENV
+from .client import _post_json
 from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
@@ -118,6 +114,10 @@ def _state_for(config: EmbeddingProviderConfig) -> _RemoteState:
         return _remote_states[key]
 
 
+def _read_embedding(reply) -> tuple[float, ...]:
+    return tuple(float(v) for v in reply["data"][0]["embedding"])
+
+
 def _remote_embed(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
     state = _state_for(config)
     with state.lock:
@@ -125,27 +125,12 @@ def _remote_embed(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector
     if cached is not None:
         return cached
 
-    url = config.endpoint.rstrip("/") + "/embeddings"
-    headers = {}
-    api_key = os.environ.get(API_KEY_ENV)
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    body = {"model": config.model_name, "input": [text]}
-
-    last_error: Exception | None = None
-    for attempt in range(config.retries + 1):
-        if attempt:
-            time.sleep(config.backoff * 2 ** (attempt - 1))
-        try:
-            with state.semaphore:
-                resp = requests.post(url, json=body, headers=headers, timeout=60)
-            resp.raise_for_status()
-            values = tuple(float(v) for v in resp.json()["data"][0]["embedding"])
-            break
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-            last_error = exc
-    else:
-        raise ProviderUnavailable(str(last_error))
+    with state.semaphore:
+        values = _post_json(
+            config.endpoint.rstrip("/") + "/embeddings",
+            {"model": config.model_name, "input": [text]},
+            _read_embedding, ProviderUnavailable,
+            retries=config.retries, backoff=config.backoff, timeout=60)
 
     if all(v == 0.0 for v in values):
         raise DegenerateEmbedding("endpoint returned an all-zero vector")

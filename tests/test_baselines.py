@@ -8,7 +8,6 @@ from honest.baselines import (
     Bm25Index,
     EmbeddingCorpus,
     KnnConfig,
-    KnnMetric,
     avg_prob,
     knn_confidence,
     product_prob,
@@ -144,14 +143,13 @@ class TestKnn:
 
     def test_bm25_neighbors_majority(self):
         index = Bm25Index.build(self.REQS, self.LABELS)
-        config = KnnConfig(k=2, metric=KnnMetric.BM25)
+        config = KnnConfig(k=2)
         assert knn_confidence("sort the numbers", index, config) == 1.0
         assert knn_confidence("parse a toml file", index, config) == 0.0
 
     def test_k_fraction(self):
         index = Bm25Index.build(self.REQS, self.LABELS)
-        value = knn_confidence("sort the numbers", index,
-                               KnnConfig(k=5, metric=KnnMetric.BM25))
+        value = knn_confidence("sort the numbers", index, KnnConfig(k=5))
         assert value == pytest.approx(3 / 5)
 
     def test_k_clamped_to_corpus_size(self):
@@ -174,17 +172,17 @@ class TestKnn:
 
     def test_embedding_corpus(self, local_provider):
         corpus = EmbeddingCorpus.build(self.REQS, self.LABELS, local_provider)
-        config = KnnConfig(k=1, metric=KnnMetric.EMBEDDING)
+        config = KnnConfig(k=1)
         # exact-match query retrieves its own stored requirement
         assert knn_confidence(self.REQS[0], corpus, config) == 1.0
         assert knn_confidence(self.REQS[2], corpus, config) == 0.0
 
     def test_tune_k_smallest_on_ties(self):
         index = Bm25Index.build(self.REQS, self.LABELS)
-        k = tune_k(self.REQS, self.LABELS, index, KnnMetric.BM25, sweep=(1, 3))
+        k = tune_k(self.REQS, self.LABELS, index, sweep=(1, 3))
         assert k == 1
 
     def test_tune_k_returns_swept_value(self, local_provider):
         corpus = EmbeddingCorpus.build(self.REQS, self.LABELS, local_provider)
-        k = tune_k(self.REQS, self.LABELS, corpus, KnnMetric.EMBEDDING)
+        k = tune_k(self.REQS, self.LABELS, corpus)
         assert k in (1, 3, 5, 10, 20)

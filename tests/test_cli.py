@@ -257,13 +257,14 @@ class TestEvalCommand:
         assert rows[0] == "threshold,shown_correct,shown_erroneous"
         assert len(rows) == 101
 
-    def test_unimplemented_method_exit_code(self, tmp_path, capsys):
+    def test_classifier_method_is_rejected(self, tmp_path, capsys):
         bench_path, arch_path = build_fixture(tmp_path)
-        code = main(["eval", "--benchmark", str(bench_path),
-                     "--archive", str(arch_path), "--model", MODEL,
-                     "--method", "code-classifier"])
-        assert code == 4
-        assert "unimplemented" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--benchmark", str(bench_path),
+                  "--archive", str(arch_path), "--model", MODEL,
+                  "--method", "code-classifier"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'code-classifier'" in capsys.readouterr().err
 
     def test_unknown_model_is_usage_error(self, tmp_path):
         bench_path, arch_path = build_fixture(tmp_path)
@@ -287,3 +288,27 @@ class TestTuneCommand:
         assert data["train_auroc"] == 1.0
         echoed = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert echoed["grid_points_evaluated"] == 1771
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("sample", ["--n", "0"]),
+    ("sample", ["--temperature", "3"]),
+    ("sample", ["--parallelism", "0"]),
+    ("estimate", ["--dimension", "32"]),
+    ("eval", ["--method", "knn-bm25", "--k", "-1"]),
+], ids=["n", "temperature", "parallelism", "dimension", "k"])
+def test_out_of_range_flag_is_usage_error(command, flags, tmp_path, capsys):
+    bench_path, arch_path = build_fixture(tmp_path)
+    required = {
+        # the endpoint is never contacted: the flag is rejected first
+        "sample": ["--requirement", "x", "--endpoint", "http://127.0.0.1:9/v1",
+                   "--model", MODEL, "--out", str(tmp_path / "out.jsonl")],
+        "estimate": ["--archive", str(arch_path), "--language", "python",
+                     "--out", str(tmp_path / "report.jsonl")],
+        "eval": ["--benchmark", str(bench_path), "--model", MODEL],
+    }[command]
+    code = main([command, *required, *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -1,0 +1,137 @@
+"""Every reply body from the chat or embeddings endpoint ends in a value or a
+typed HonestError: a body of the wrong shape counts as a failed attempt, is
+retried, and ends in the endpoint's typed error."""
+import itertools
+from unittest import mock
+
+import pytest
+import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from honest.client import SamplingConfig, ask_yes_no, sample_programs
+from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text
+from honest.errors import EndpointError, HonestError, ProviderUnavailable
+from honest.model import Language
+
+# requests.post is replaced in every test; the local discard port keeps even
+# an unpatched request on this machine.
+ENDPOINT = "http://127.0.0.1:9/v1"
+
+# A fresh embedding model per call, so the remote cache never answers.
+_models = (f"embed-{i}" for i in itertools.count())
+
+
+class _Reply:
+    def __init__(self, body):
+        self._body = body
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self._body
+
+
+def replying(*bodies):
+    """Patch requests.post to answer with *bodies* in turn (the last one
+    repeats); the patched mock counts the attempts."""
+    replies = [_Reply(b) for b in bodies]
+    return mock.patch.object(
+        requests, "post",
+        side_effect=lambda *a, **kw: replies.pop(0) if len(replies) > 1 else replies[0])
+
+
+def sample(retries, n=1):
+    config = SamplingConfig(endpoint=ENDPOINT, model="m", n=n, parallelism=1,
+                            retries=retries, backoff=0.0)
+    return sample_programs("reverse a string", Language.PYTHON, config)
+
+
+def ask(retries):
+    config = SamplingConfig(endpoint=ENDPOINT, model="m", retries=retries,
+                            backoff=0.0)
+    return ask_yes_no("Answer with exactly one word: Yes or No.", config)
+
+
+def embed(retries):
+    config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE, endpoint=ENDPOINT,
+                                     model_name=next(_models), retries=retries,
+                                     backoff=0.0)
+    return embed_text("reverse a string", config)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=12)
+
+
+def shaped(strategy):
+    """*strategy*, or any JSON value in its place."""
+    return strategy | json_values
+
+
+def obj(**fields):
+    return shaped(st.fixed_dictionaries(fields))
+
+
+alternative = obj(token=shaped(st.sampled_from(["Yes", " no", "x", ""])),
+                  logprob=shaped(st.floats(max_value=0.0)))
+token = obj(token=shaped(st.sampled_from(["Yes", " no", "x", ""])),
+            logprob=shaped(st.floats(max_value=0.0)),
+            top_logprobs=shaped(st.lists(alternative, max_size=3)))
+choice = obj(
+    message=obj(content=shaped(st.sampled_from(
+        ["```python\nx = 1\n```", "y = 2", "", None]))),
+    finish_reason=json_values,
+    logprobs=obj(content=shaped(st.lists(token, max_size=3))))
+chat_bodies = obj(choices=shaped(st.lists(choice, max_size=2)))
+embedding_bodies = obj(data=shaped(st.lists(
+    obj(embedding=shaped(st.lists(shaped(st.floats()), max_size=4))), max_size=2)))
+
+
+@given(body=chat_bodies)
+@settings(max_examples=150, deadline=None)
+def test_any_chat_reply_ends_in_value_or_honest_error(body):
+    for call, requests_made in ((lambda: sample(retries=0, n=2), 2),
+                                (lambda: ask(retries=0), 1)):
+        with replying(body) as post:
+            try:
+                call()
+            except HonestError:
+                pass
+        assert post.call_count == requests_made
+
+
+@given(body=embedding_bodies)
+@settings(max_examples=150, deadline=None)
+def test_any_embedding_reply_ends_in_value_or_honest_error(body):
+    with replying(body) as post:
+        try:
+            embed(retries=0)
+        except HonestError:
+            pass
+    assert post.call_count == 1
+
+
+@pytest.mark.parametrize("call, body, error", [
+    (sample, {}, EndpointError),
+    (sample, [1], EndpointError),
+    (ask, {}, EndpointError),
+    (embed, {"data": [{"embedding": None}]}, ProviderUnavailable),
+], ids=["sample-empty-object", "sample-list", "ask-empty-object",
+        "embed-null-embedding"])
+def test_malformed_reply_is_retried_then_typed_error(call, body, error):
+    with replying(body) as post:
+        with pytest.raises(error, match="malformed reply"):
+            call(retries=2)
+    assert post.call_count == 3
+
+
+def test_malformed_reply_then_good_reply_succeeds():
+    with replying({"data": []}, {"data": [{"embedding": [0.6, 0.8]}]}) as post:
+        vector = embed(retries=1)
+    assert vector.values == (0.6, 0.8)
+    assert post.call_count == 2
