@@ -388,10 +388,16 @@ def _cst_and_dataflow(program: Program) -> tuple[CstNode, DataflowGraph]:
     """``(parse_cst(program), extract_dataflow(program))`` from one Python
     parse (with its error recovery) or one Java lexing."""
     if program.language is Language.PYTHON:
-        module, dropped = _parse_python_ast(program.source)
-        tree = _convert_py(module)
         visitor = _PyDefUse()
-        visitor.visit(module)
+        try:
+            module, dropped = _parse_python_ast(program.source)
+            tree = _convert_py(module)
+            visitor.visit(module)
+        except RecursionError:
+            # nested too deep for ast or the recursive walks: the state the
+            # line-drop recovery ends in, every line dropped and no edges
+            tree, dropped = CstNode("Module"), len(program.source.splitlines())
+            visitor.edges.clear()
         return (CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped),
                 DataflowGraph(visitor.edges))
     if program.language is Language.JAVA:

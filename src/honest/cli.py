@@ -9,18 +9,15 @@ import json
 import os
 import sys
 import tempfile
+import zlib
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import baselines, client, confidence, dataset, evaluation
 from .client import ENDPOINT_ENV, SamplingConfig, SeedMode
 from .embeddings import EmbeddingProviderConfig, ProviderKind
-from .errors import (
-    EndpointError,
-    HonestError,
-    ProviderUnavailable,
-)
-from .gate import decide, decision_to_json
+from .errors import EndpointError, HonestError, ProviderUnavailable
+from .gate import DEFAULT_REFUSAL_MESSAGE, decide, decision_to_json
 from .model import Language, Origin, Program, SampleSet
 from .similarity import SimilarityWeights
 
@@ -82,21 +79,13 @@ def _resolve(flag: Optional[str], env_name: Optional[str],
 
 
 def _resolved_config(args) -> dict:
-    file_values = _load_config_file(getattr(args, "config", None))
-    endpoint = _resolve(getattr(args, "endpoint", None), ENDPOINT_ENV,
-                        file_values, "endpoint")
+    file_values = _load_config_file(args.config)
     return {
-        "endpoint": endpoint,
+        "endpoint": _resolve(getattr(args, "endpoint", None), ENDPOINT_ENV,
+                             file_values, "endpoint"),
         "model": _resolve(getattr(args, "model", None), None, file_values, "model"),
-        "seed": getattr(args, "seed", 42),
+        "seed": args.seed,
     }
-
-
-def _maybe_print_config(args, resolved: dict) -> bool:
-    if getattr(args, "print_config", False):
-        print(json.dumps(resolved, sort_keys=True))
-        return True
-    return False
 
 
 def _checked(make: Callable[..., T], **fields) -> T:
@@ -122,7 +111,11 @@ def _provider_from_args(args) -> EmbeddingProviderConfig:
 def _weights_from_args(args) -> SimilarityWeights:
     path = getattr(args, "weights", None)
     if path and Path(path).exists():
-        return confidence.load_weights(path)
+        try:
+            return confidence.load_weights(path)
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
+            raise CliError(f"bad weights file {path}: "
+                           f"{type(exc).__name__}: {exc}") from None
     if path:
         print(f"warning: weights file {path} not found; using defaults",
               file=sys.stderr)
@@ -144,11 +137,8 @@ def _sampling_config(resolved: dict, **fields) -> SamplingConfig:
 
 
 def cmd_sample(args) -> int:
-    resolved = _resolved_config(args)
-    if _maybe_print_config(args, resolved):
-        return EXIT_OK
     config = _sampling_config(
-        resolved, n=args.n, temperature=args.temperature,
+        _resolved_config(args), n=args.n, temperature=args.temperature,
         max_tokens=args.max_tokens, parallelism=args.parallelism,
         seed_mode=(SeedMode.FIXED_SCHEDULE if args.preset == "five-temps"
                    else SeedMode.INDEPENDENT),
@@ -196,10 +186,17 @@ def _entry_to_sample_set(entry: dataset.SampleArchiveEntry,
                      programs=programs)
 
 
+def _labelled(benchmark: Sequence[dataset.BenchmarkSample],
+              entries: Sequence[dataset.SampleArchiveEntry], model: str,
+              split: str) -> list[tuple]:
+    """Each *split* sample labelled for *model*, paired with its archive entry
+    for *model* (None when the archive has none)."""
+    by_id = {(e.id, e.model): e for e in entries}
+    return [(s, by_id.get((s.id, model))) for s in benchmark
+            if s.split == split and model in s.labels]
+
+
 def cmd_estimate(args) -> int:
-    resolved = _resolved_config(args)
-    if _maybe_print_config(args, resolved):
-        return EXIT_OK
     provider = _provider_from_args(args)
     weights = _weights_from_args(args)
     language = Language.parse(args.language)
@@ -224,10 +221,18 @@ def cmd_estimate(args) -> int:
 
 def cmd_gate(args) -> int:
     reports = {}
-    for raw in Path(args.report).read_text().splitlines():
-        if raw.strip():
+    for number, raw in enumerate(Path(args.report).read_text().splitlines(), 1):
+        if not raw.strip():
+            continue
+        try:
             obj = json.loads(raw)
-            reports[obj["id"]] = obj
+        except (ValueError, RecursionError) as exc:
+            raise CliError(f"report line {number}: invalid JSON: {exc}") from None
+        if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                and "n" in obj and isinstance(obj.get("confidence"), (int, float))):
+            raise CliError(f"report line {number}: expected an object with a "
+                           f"string \"id\", \"n\" and a numeric \"confidence\"")
+        reports[obj["id"]] = obj
     if not reports:
         raise CliError("empty report file")
     rid = args.id if args.id is not None else next(iter(reports))
@@ -249,111 +254,76 @@ def cmd_gate(args) -> int:
     return EXIT_OK
 
 
-def _scored_for_method(args, method: str, benchmark, entries, provider,
-                       weights, resolved) -> tuple[list, dict]:
-    by_id = {(e.id, e.model): e for e in entries}
-    model = args.model
-    extra: dict = {}
+def _scorer(args, train: Sequence[dataset.BenchmarkSample],
+            provider: EmbeddingProviderConfig,
+            weights: SimilarityWeights) -> tuple[Callable, bool, dict]:
+    """``(score, reads_programs, extra)`` for ``args.method``.
 
-    train = [s for s in benchmark if s.split == "train" and model in s.labels]
-    select = [s for s in benchmark if s.split == args.split and model in s.labels]
-    if not select:
-        raise CliError(f"no {args.split} samples with labels for model {model!r}")
-
-    def entry_for(sample) -> dataset.SampleArchiveEntry:
-        entry = by_id.get((sample.id, model))
-        if entry is None:
-            raise CliError(f"archive missing entry for id {sample.id!r}, "
-                           f"model {model!r}")
-        return entry
-
-    def program_counts(entry) -> tuple[Optional[int], Optional[int]]:
-        verdicts = [p.verdict for p in entry.programs]
-        if any(v is None for v in verdicts):
-            return None, None
-        return sum(1 for v in verdicts if v), len(verdicts)
-
-    def records_for(entry) -> list[client.GenerationRecord]:
-        records = []
-        for i, p in enumerate(entry.programs):
-            program = Program(source=p.source, language=sample_language,
-                              origin=Origin(sample_index=i))
-            records.append(client.GenerationRecord(
-                program=program, raw_response=p.source,
-                token_probs=p.token_probs or (), finish_reason=""))
-        return records
-
-    scored = []
-    for sample in select:
-        sample_language = sample.language
-        entry = entry_for(sample) if method not in ("knn-bm25", "knn-embed",
-                                                    "self-ask-req") else None
-        if method == "honest":
-            sample_set = _entry_to_sample_set(entry, sample.requirement,
-                                              sample.language)
-            report = confidence.estimate_confidence(sample_set, weights, provider)
-            score = report.confidence
-        elif method == "avg-prob":
-            score = baselines.avg_prob(records_for(entry))
-        elif method == "product-prob":
-            score = baselines.product_prob(records_for(entry))
-        elif method == "self-ask-code":
-            sampling = _sampling_config(resolved)
-            programs = [r.program for r in records_for(entry)]
-            score = baselines.self_ask_code(sample.requirement, programs, sampling)
-        elif method == "self-ask-req":
-            sampling = _sampling_config(resolved)
-            score = baselines.self_ask_requirement(sample.requirement, sampling)
-        elif method in ("knn-bm25", "knn-embed"):
-            score = None  # filled in below, index built once
-        else:  # pragma: no cover
-            raise CliError(f"unknown method {method!r}")
-
-        correct, total = (program_counts(entry) if entry is not None
-                          else (None, None))
-        scored.append(evaluation.ScoredSample(
-            id=sample.id, score=score if score is not None else 0.0,
-            label=sample.labels[model],
-            programs_correct=correct, programs_total=total))
-
+    ``score(sample, sample_set)`` scores one benchmark sample; *sample_set*
+    holds the sample's archived programs when *reads_programs*, else None.
+    *extra* joins the result line.
+    """
+    method = args.method
     if method in ("knn-bm25", "knn-embed"):
         if not train:
             raise CliError("K-NNS needs a labeled train split")
         reqs = [s.requirement for s in train]
-        labels = [s.labels[model] for s in train]
-        if method == "knn-bm25":
-            index = baselines.Bm25Index.build(reqs, labels)
-        else:
-            index = baselines.EmbeddingCorpus.build(reqs, labels, provider)
-        k = args.k or baselines.tune_k(reqs, labels, index)
-        extra["k"] = k
-        cfg = _checked(baselines.KnnConfig, k=k)
-        scored = [
-            evaluation.ScoredSample(
-                id=s.id,
-                score=baselines.knn_confidence(
-                    next(b.requirement for b in select if b.id == s.id),
-                    index, cfg),
-                label=s.label,
-                programs_correct=s.programs_correct,
-                programs_total=s.programs_total)
-            for s in scored
-        ]
-    return scored, extra
+        labels = [s.labels[args.model] for s in train]
+        index = (baselines.Bm25Index.build(reqs, labels) if method == "knn-bm25"
+                 else baselines.EmbeddingCorpus.build(reqs, labels, provider))
+        k = args.k if args.k is not None else baselines.tune_k(reqs, labels, index)
+        knn = _checked(baselines.KnnConfig, k=k)
+        return (lambda sample, _: baselines.knn_confidence(sample.requirement, index, knn),
+                False, {"k": k})
+    if method in ("self-ask-code", "self-ask-req"):
+        sampling = _sampling_config(_resolved_config(args))
+        if method == "self-ask-req":
+            return (lambda sample, _: baselines.self_ask_requirement(
+                sample.requirement, sampling), False, {})
+        return (lambda sample, sample_set: baselines.self_ask_code(
+            sample.requirement, sample_set.programs, sampling), True, {})
+    if method == "honest":
+        return (lambda _, sample_set: confidence.estimate_confidence(
+            sample_set, weights, provider).confidence, True, {})
+    pool = {"avg-prob": baselines.avg_prob,
+            "product-prob": baselines.product_prob}[method]
+    return (lambda _, sample_set: pool([
+        client.GenerationRecord(program=p, raw_response=p.source,
+                                token_probs=p.origin.token_probs or (),
+                                finish_reason="")
+        for p in sample_set.programs]), True, {})
 
 
 def cmd_eval(args) -> int:
-    resolved = _resolved_config(args)
-    if _maybe_print_config(args, resolved):
-        return EXIT_OK
-
     benchmark = dataset.load_benchmark(args.benchmark)
     entries = dataset.load_samples(args.archive) if args.archive else []
     provider = _provider_from_args(args)
     weights = _weights_from_args(args)
 
-    scored, extra = _scored_for_method(args, args.method, benchmark, entries,
-                                       provider, weights, resolved)
+    select = _labelled(benchmark, entries, args.model, args.split)
+    if not select:
+        raise CliError(f"no {args.split} samples with labels for model {args.model!r}")
+    train = [s for s, _ in _labelled(benchmark, (), args.model, "train")]
+    score, reads_programs, extra = _scorer(args, train, provider, weights)
+
+    scored = []
+    for sample, entry in select:
+        if not reads_programs:
+            entry = None
+        elif entry is None:
+            raise CliError(f"archive missing entry for id {sample.id!r}, "
+                           f"model {args.model!r}")
+        sample_set = (_entry_to_sample_set(entry, sample.requirement, sample.language)
+                      if entry else None)
+        # program counts only when every archived program has a verdict
+        verdicts = [p.verdict for p in entry.programs] if entry else [None]
+        counted = None not in verdicts
+        scored.append(evaluation.ScoredSample(
+            id=sample.id, score=score(sample, sample_set),
+            label=sample.labels[args.model],
+            programs_correct=sum(verdicts) if counted else None,
+            programs_total=len(verdicts) if counted else None))
+
     result = {
         "method": args.method,
         "model": args.model,
@@ -384,24 +354,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    resolved = _resolved_config(args)
-    if _maybe_print_config(args, resolved):
-        return EXIT_OK
     benchmark = dataset.load_benchmark(args.benchmark)
     entries = dataset.load_samples(args.archive)
     provider = _provider_from_args(args)
-    by_id = {(e.id, e.model): e for e in entries}
-
-    train = []
-    for sample in benchmark:
-        if sample.split != "train" or args.model not in sample.labels:
-            continue
-        entry = by_id.get((sample.id, args.model))
-        if entry is None:
-            continue
-        sample_set = _entry_to_sample_set(entry, sample.requirement,
-                                          sample.language)
-        train.append((sample_set, sample.labels[args.model]))
+    train = [(_entry_to_sample_set(entry, sample.requirement, sample.language),
+              sample.labels[args.model])
+             for sample, entry in _labelled(benchmark, entries, args.model, "train")
+             if entry is not None]
     if not train:
         raise CliError("no labeled train samples with archived programs")
 
@@ -475,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id")
     p.add_argument("--language", required=True)
     p.add_argument("--threshold", type=float, required=True)
-    from .gate import DEFAULT_REFUSAL_MESSAGE
     p.add_argument("--message", default=DEFAULT_REFUSAL_MESSAGE)
     p.set_defaults(func=cmd_gate)
 
@@ -509,9 +467,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.print_config:
+            print(json.dumps(_resolved_config(args), sort_keys=True))
+            return EXIT_OK
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -519,7 +479,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (EndpointError, ProviderUnavailable) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NETWORK
-    except HonestError as exc:
+    # a typed error, or an input file that is missing, undecodable or bad gzip
+    except (HonestError, OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

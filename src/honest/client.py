@@ -31,8 +31,6 @@ ENDPOINT_ENV = "HONEST_ENDPOINT"
 # Fixed five-temperature schedule used by the preset sampling mode.
 FIXED_TEMPERATURES = (0.0, 0.2, 0.6, 0.8, 1.0)
 
-PROMPT_VERSION = "v1"
-
 T = TypeVar("T")
 
 # Zero-shot stand-in prompt; the exact production prompt is deployment-specific.
@@ -227,6 +225,12 @@ def sample_programs(requirement: str, language: Language,
                      programs=tuple(usable))
 
 
+def _probability(logprob: float) -> float:
+    if not logprob <= 0.0:  # also rejects NaN
+        raise ValueError(f"log-probability must be <= 0, got {logprob!r}")
+    return math.exp(logprob)
+
+
 def _yes_probability(choice: dict) -> Optional[float]:
     content = _logprobs(choice)
     if not content:
@@ -237,9 +241,9 @@ def _yes_probability(choice: dict) -> Optional[float]:
     for alt in alternatives:
         token = (alt.get("token") or "").strip().lower()
         if token == "yes":
-            yes_mass += math.exp(alt["logprob"])
+            yes_mass += _probability(alt["logprob"])
         elif token == "no":
-            no_mass += math.exp(alt["logprob"])
+            no_mass += _probability(alt["logprob"])
     if yes_mass > 0.0 and no_mass > 0.0:
         return yes_mass / (yes_mass + no_mass)
     return yes_mass

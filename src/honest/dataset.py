@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import DuplicateId, MalformedLine, TooFewSamples, UnknownLanguage
+from .errors import DuplicateId, MalformedLine, TooFewSamples
 from .model import Language, Origin
 
 log = logging.getLogger(__name__)
 
 _BENCHMARK_FIELDS = {"id", "language", "requirement", "labels", "split"}
 _ARCHIVE_FIELDS = {"id", "model", "programs"}
-_PROGRAM_FIELDS = {"source", "temperature", "token_probs", "verdict"}
 
 
 @dataclass(frozen=True)
@@ -68,11 +67,21 @@ def _read_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also a too-long int
                 raise MalformedLine(number, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise MalformedLine(number, "expected a JSON object")
             yield number, obj
+
+
+def _field(obj: dict, key: str, kind: type, line_number: int):
+    """``obj[key]``, which must be present and an instance of *kind*."""
+    if key not in obj:
+        raise MalformedLine(line_number, f"missing field {key!r}")
+    if not isinstance(obj[key], kind):
+        raise MalformedLine(line_number, f"field {key!r} must be a "
+                            f"{kind.__name__}, got {obj[key]!r}")
+    return obj[key]
 
 
 def _parse_label(value, line_number: int) -> bool:
@@ -91,23 +100,19 @@ def load_benchmark(path: str | Path) -> list[BenchmarkSample]:
         if unknown:
             log.warning("%s line %d: ignoring unknown fields %s", path, number,
                         sorted(unknown))
-        for key in ("id", "language", "requirement", "labels", "split"):
-            if key not in obj:
-                raise MalformedLine(number, f"missing field {key!r}")
-        if obj["id"] in seen:
-            raise DuplicateId(obj["id"])
-        seen.add(obj["id"])
-        if obj["split"] not in ("train", "test"):
-            raise MalformedLine(number, f"bad split {obj['split']!r}")
-        try:
-            language = Language.parse(obj["language"])
-        except UnknownLanguage:
-            raise
-        labels = {model: _parse_label(v, number)
-                  for model, v in obj["labels"].items()}
+        rid, language, requirement, labels, split = (
+            _field(obj, key, kind, number) for key, kind in (
+                ("id", str), ("language", str), ("requirement", str),
+                ("labels", dict), ("split", str)))
+        if rid in seen:
+            raise DuplicateId(rid)
+        seen.add(rid)
+        if split not in ("train", "test"):
+            raise MalformedLine(number, f"bad split {split!r}")
         samples.append(BenchmarkSample(
-            id=obj["id"], language=language, requirement=obj["requirement"],
-            labels=labels, split=obj["split"]))
+            id=rid, language=Language.parse(language), requirement=requirement,
+            labels={model: _parse_label(v, number) for model, v in labels.items()},
+            split=split))
     return samples
 
 
@@ -144,14 +149,13 @@ def load_samples(path: str | Path) -> list[SampleArchiveEntry]:
         if unknown:
             log.warning("%s line %d: ignoring unknown fields %s", path, number,
                         sorted(unknown))
-        for key in ("id", "model", "programs"):
-            if key not in obj:
-                raise MalformedLine(number, f"missing field {key!r}")
-        if not obj["programs"]:
+        rid, model, items = (_field(obj, key, kind, number) for key, kind in (
+            ("id", str), ("model", str), ("programs", list)))
+        if not items:
             raise MalformedLine(number, "programs list is empty")
         programs = []
-        for p in obj["programs"]:
-            if "source" not in p or "temperature" not in p:
+        for p in items:
+            if not isinstance(p, dict) or "source" not in p or "temperature" not in p:
                 raise MalformedLine(number, "program needs source and temperature")
             probs = p.get("token_probs")
             verdict = p.get("verdict")
@@ -159,15 +163,15 @@ def load_samples(path: str | Path) -> list[SampleArchiveEntry]:
                 # the bounds a sampled program's Origin enforces
                 origin = Origin(temperature=float(p["temperature"]),
                                 token_probs=tuple(probs) if probs else None)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise MalformedLine(number, str(exc)) from None
             programs.append(ArchivedProgram(
-                source=p["source"],
+                source=_field(p, "source", str, number),
                 temperature=origin.temperature,
                 token_probs=origin.token_probs,
                 verdict=_parse_label(verdict, number) if verdict is not None else None,
             ))
-        entries.append(SampleArchiveEntry(id=obj["id"], model=obj["model"],
+        entries.append(SampleArchiveEntry(id=rid, model=model,
                                           programs=tuple(programs)))
     return entries
 

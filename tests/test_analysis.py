@@ -13,7 +13,9 @@ from honest.analysis import (
     extract_subtrees,
     parse_cst,
 )
-from honest.model import Language, Program
+from honest.confidence import estimate_confidence
+from honest.model import Language, Program, SampleSet
+from honest.similarity import SimilarityWeights
 
 
 def py(source):
@@ -256,3 +258,24 @@ def _count_kind_iterative(tree, kind):
         count += node.kind == kind
         stack.extend(node.children)
     return count
+
+
+# Each raises RecursionError at depth: the first in the tree conversion, the
+# other two inside ast.parse.
+DEEP_PYTHON = ["x = " + "not " * 2000 + "y", "x = " + "-" * 3000 + "y",
+               "x = " + "a + " * 3000 + "b"]
+
+
+@pytest.mark.parametrize("source", DEEP_PYTHON, ids=["not", "minus", "plus"])
+class TestDeepPythonNesting:
+    def test_every_line_dropped(self, source):
+        program = py(source + "\nz = 1\n")
+        error = CstNode("ERROR")
+        assert parse_cst(program) == CstNode("Module", (error, error))
+        assert extract_dataflow(program).edges == Counter()
+
+    def test_ends_in_a_score(self, source, local_provider):
+        samples = SampleSet("deep", "", (py(source), py(source), py("x = 1")))
+        report = estimate_confidence(samples, SimilarityWeights.uniform(),
+                                     local_provider)
+        assert 0.0 <= report.confidence <= 1.0

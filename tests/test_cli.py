@@ -1,7 +1,13 @@
+import contextlib
+import gzip
+import io
 import json
 
 import pytest
 from corpus import PYTHON_CORPUS
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_replies import obj
 
 from honest.cli import main
 from honest.dataset import (
@@ -202,6 +208,18 @@ class TestGateCommand:
     def test_unknown_id_is_usage_error(self, tmp_path):
         assert self.run_gate(tmp_path, 0.5, rid="missing") == 2
 
+    def test_print_config_prints_and_does_not_gate(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setenv("HONEST_ENDPOINT", "http://from-env")
+        missing = str(tmp_path / "missing.jsonl")  # never read
+        code = main(["gate", "--report", missing, "--archive", missing,
+                     "--language", "python", "--threshold", "0.5",
+                     "--print-config", "--seed", "7"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert json.loads(out) == {"endpoint": "http://from-env", "model": None,
+                                   "seed": 7}
+
 
 class TestEvalCommand:
     def test_honest_method(self, tmp_path, capsys):
@@ -296,7 +314,8 @@ class TestTuneCommand:
     ("sample", ["--parallelism", "0"]),
     ("estimate", ["--dimension", "32"]),
     ("eval", ["--method", "knn-bm25", "--k", "-1"]),
-], ids=["n", "temperature", "parallelism", "dimension", "k"])
+    ("eval", ["--method", "knn-bm25", "--k", "0"]),
+], ids=["n", "temperature", "parallelism", "dimension", "k", "k-zero"])
 def test_out_of_range_flag_is_usage_error(command, flags, tmp_path, capsys):
     bench_path, arch_path = build_fixture(tmp_path)
     required = {
@@ -312,3 +331,122 @@ def test_out_of_range_flag_is_usage_error(command, flags, tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# Each command's input files, as (flag, contents on the fixture); *None*
+# contents mean the fixture's own benchmark or archive.
+INPUT_FILES = {
+    "sample": {"--requirement-file": "sort a list"},
+    "estimate": {"--archive": None, "--weights": json.dumps(
+        {"alpha": 0.25, "beta": 0.25, "gamma": 0.25, "delta": 0.25})},
+    "gate": {"--report": json.dumps({"id": "s0", "n": 3, "confidence": 1.0}),
+             "--archive": None},
+    "eval": {"--benchmark": None, "--archive": None},
+}
+OTHER_FLAGS = {
+    "sample": ["--endpoint", "http://127.0.0.1:9/v1", "--model", MODEL],
+    "estimate": ["--language", "python"],
+    "gate": ["--language", "python", "--threshold", "0.5"],
+    "eval": ["--model", MODEL, "--method", "honest"],
+}
+
+
+def argv_with_input(command, tmp_path, flag, contents, suffix=".jsonl"):
+    """*command*'s argv on the fixture, with *flag* naming a file that holds
+    *contents* (bytes or text), or a missing file when *contents* is None."""
+    bench_path, arch_path = build_fixture(tmp_path)
+    argv = [command]
+    for name, text in INPUT_FILES[command].items():
+        path = {"--benchmark": bench_path, "--archive": arch_path}.get(name)
+        if name == flag or path is None:
+            path = tmp_path / (name.strip("-") + (suffix if name == flag else ""))
+            text = contents if name == flag else text
+            if text is not None:
+                data = text if isinstance(text, bytes) else text.encode()
+                path.write_bytes(data)
+        argv += [name, str(path)]
+    if command in ("sample", "estimate"):
+        argv += ["--out", str(tmp_path / "out.jsonl")]
+    return argv + OTHER_FLAGS[command]
+
+
+ARCHIVE_LINE = {"id": "s0", "model": MODEL,
+                "programs": [{"source": "x = 1", "temperature": 1.0}]}
+
+
+@pytest.mark.parametrize("command, flag, contents, suffix", [
+    ("estimate", "--archive", None, ".jsonl"),
+    ("gate", "--report", None, ".jsonl"),
+    ("sample", "--requirement-file", None, ".txt"),
+    ("gate", "--report", '{"id": "s0", "n": 3, "confidence": 1.0}\nnot json\n', ".jsonl"),
+    ("gate", "--report", '{"n": 3, "confidence": 1.0}\n', ".jsonl"),
+    ("estimate", "--weights", '{"beta": 0.5, "gamma": 0.25, "delta": 0.25}', ".json"),
+    ("estimate", "--weights",
+     '{"alpha": 0.5, "beta": 0.5, "gamma": 0.5, "delta": 0.5}', ".json"),
+    ("eval", "--benchmark", json.dumps({
+        "id": "s4", "language": "python", "requirement": "sort", "labels": [MODEL],
+        "split": "test"}), ".jsonl"),
+    # a string item that holds both key names passes an `in` test
+    ("estimate", "--archive", json.dumps(
+        {**ARCHIVE_LINE, "programs": ["source, temperature"] * 2}), ".jsonl"),
+    ("estimate", "--archive", json.dumps(
+        {**ARCHIVE_LINE, "programs": [{"source": 1, "temperature": 1.0}] * 2}),
+     ".jsonl"),
+    ("estimate", "--archive", gzip.compress(
+        (json.dumps(ARCHIVE_LINE) + "\n").encode() * 50)[:-20], ".jsonl.gz"),
+    ("eval", "--benchmark", b"\xff\xfe{}\n", ".jsonl"),
+], ids=["missing-archive", "missing-report", "missing-requirement-file",
+        "report-not-json", "report-without-id", "weights-without-alpha",
+        "weights-not-summing-to-1", "benchmark-labels-list", "program-item-string",
+        "numeric-source", "truncated-gzip", "undecodable-benchmark"])
+def test_unreadable_or_malformed_input_is_usage_error(command, flag, contents,
+                                                      suffix, tmp_path, capsys):
+    code = main(argv_with_input(command, tmp_path, flag, contents, suffix))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def json_lines(line):
+    """Files of up to three JSON values, each shaped like *line* or not."""
+    return st.lists(line, max_size=3).map(
+        lambda values: "".join(json.dumps(v) + "\n" for v in values).encode())
+
+
+labels = st.dictionaries(st.sampled_from([MODEL, "other"]),
+                         st.sampled_from(["passed", "failed"]), max_size=2)
+FILE_CONTENTS = {
+    "--archive": json_lines(obj(
+        id=st.sampled_from(["s0", "s1"]), model=st.just(MODEL),
+        programs=st.lists(obj(source=st.text(max_size=20),
+                              temperature=st.floats(0.0, 2.0),
+                              token_probs=st.lists(st.floats(0.01, 1.0), max_size=2),
+                              verdict=st.sampled_from(["passed", "failed"])),
+                          max_size=3))),
+    "--benchmark": json_lines(obj(
+        id=st.sampled_from(["s4", "s5"]), language=st.sampled_from(["python", "java"]),
+        requirement=st.text(max_size=20), labels=labels,
+        split=st.sampled_from(["train", "test"]))),
+    "--report": json_lines(obj(id=st.sampled_from(["s0", "s1"]), n=st.integers(),
+                               confidence=st.floats())),
+    "--weights": json_lines(st.just(json.loads(INPUT_FILES["estimate"]["--weights"]))
+                            | obj(alpha=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0),
+                                  gamma=st.floats(0.0, 1.0), delta=st.floats(0.0, 1.0))),
+}
+
+
+@pytest.mark.parametrize("command, flag", [("estimate", "--archive"),
+                                           ("eval", "--benchmark"),
+                                           ("gate", "--report"),
+                                           ("estimate", "--weights")])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_input_file_exits_0_or_2(command, flag, data, tmp_path):
+    contents = data.draw(st.binary(max_size=64) | FILE_CONTENTS[flag])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv_with_input(command, tmp_path, flag, contents))
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

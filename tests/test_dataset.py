@@ -95,6 +95,26 @@ class TestBenchmarkIo:
         with pytest.raises(MalformedLine):
             load_benchmark(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", 7), ("language", None), ("requirement", ["sort"]), ("labels", ["m"]),
+        ("split", 1)])
+    def test_field_of_wrong_json_type_reports_line_number(self, tmp_path, field,
+                                                          value):
+        path = tmp_path / "bench.jsonl"
+        write_lines(path, [VALID_LINE, {**VALID_LINE, "id": "b", field: value}])
+        with pytest.raises(MalformedLine) as exc:
+            load_benchmark(path)
+        assert exc.value.line_number == 2
+
+    @pytest.mark.parametrize("text", ["[" * 100000, "1" * 5000],
+                             ids=["deep-array", "long-integer"])
+    def test_undecodable_json_reports_line_number(self, tmp_path, text):
+        path = tmp_path / "bench.jsonl"
+        path.write_text(json.dumps(VALID_LINE) + "\n" + text + "\n")
+        with pytest.raises(MalformedLine) as exc:
+            load_benchmark(path)
+        assert exc.value.line_number == 2
+
     def test_unknown_fields_warn_but_load(self, tmp_path, caplog):
         path = tmp_path / "b.jsonl"
         write_lines(path, [dict(VALID_LINE, extra_field=1)])
@@ -191,6 +211,23 @@ class TestSampleArchive:
                                           "verdict": "ok"}]}])
         with pytest.raises(MalformedLine):
             load_samples(path)
+
+    @pytest.mark.parametrize("line", [
+        {"id": 1, "model": "m", "programs": [{"source": "y", "temperature": 0}]},
+        {"id": "b", "model": None, "programs": [{"source": "y", "temperature": 0}]},
+        {"id": "b", "model": "m", "programs": {"source": "y", "temperature": 0}},
+        {"id": "b", "model": "m", "programs": ["source, temperature"]},
+        {"id": "b", "model": "m", "programs": [{"source": 5, "temperature": 0}]},
+        {"id": "b", "model": "m", "programs": [{"source": "y", "temperature": 10**400}]},
+    ], ids=["numeric-id", "null-model", "programs-object", "program-string",
+            "numeric-source", "huge-temperature"])
+    def test_field_of_wrong_json_type_reports_line_number(self, tmp_path, line):
+        path = tmp_path / "arch.jsonl"
+        write_lines(path, [{"id": "a", "model": "m",
+                            "programs": [{"source": "y", "temperature": 0}]}, line])
+        with pytest.raises(MalformedLine) as exc:
+            load_samples(path)
+        assert exc.value.line_number == 2
 
     @pytest.mark.parametrize("program", [
         {"source": "x", "temperature": 0.5, "token_probs": [0.9, 0.0]},

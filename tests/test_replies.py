@@ -54,6 +54,12 @@ def ask(retries):
     return ask_yes_no("Answer with exactly one word: Yes or No.", config)
 
 
+def yes_reply(logprob):
+    """A chat reply whose first token is "Yes" at *logprob*."""
+    return {"choices": [{"logprobs": {"content": [{"token": "Yes",
+                                                   "logprob": logprob}]}}]}
+
+
 def embed(retries):
     config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE, endpoint=ENDPOINT,
                                      model_name=next(_models), retries=retries,
@@ -120,9 +126,11 @@ def test_any_embedding_reply_ends_in_value_or_honest_error(body):
     (sample, {}, EndpointError),
     (sample, [1], EndpointError),
     (ask, {}, EndpointError),
+    (ask, yes_reply(0.5), EndpointError),
+    (ask, yes_reply(float("nan")), EndpointError),
     (embed, {"data": [{"embedding": None}]}, ProviderUnavailable),
 ], ids=["sample-empty-object", "sample-list", "ask-empty-object",
-        "embed-null-embedding"])
+        "ask-positive-logprob", "ask-nan-logprob", "embed-null-embedding"])
 def test_malformed_reply_is_retried_then_typed_error(call, body, error):
     with replying(body) as post:
         with pytest.raises(error, match="malformed reply"):
