@@ -4,7 +4,6 @@ yes/no self-asking, and K-nearest-neighbor search over training requirements
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -16,8 +15,10 @@ from .client import (
     SamplingConfig,
     ask_yes_no,
 )
-from .embeddings import EmbeddingProviderConfig, EmbeddingVector, cosine, embed_text
+from .embeddings import (EmbeddingProviderConfig, EmbeddingVector, cosine, embed_text,
+                         text_tokens)
 from .errors import EmptyCorpus, EmptyInput, MissingLogprobs, SingleClass, UnknownDocument
+from .evaluation import rank_auroc
 from .model import Program
 
 BM25_K1 = 1.2
@@ -66,11 +67,6 @@ def self_ask_requirement(requirement: str, config: SamplingConfig) -> float:
                       config)
 
 
-def text_tokens(text: str) -> list[str]:
-    """Word tokenization used for requirement retrieval."""
-    return re.findall(r"\w+", text.lower())
-
-
 @dataclass(frozen=True)
 class KnnConfig:
     k: int
@@ -90,11 +86,9 @@ class Bm25Index:
     def __post_init__(self):
         self._term_freqs = [Counter(d) for d in self.documents]
         self._doc_lens = [len(d) for d in self.documents]
-        df: Counter = Counter()
-        for tf in self._term_freqs:
-            for term in tf:
-                df[term] += 1
-        self.doc_freqs = dict(df)
+        df = Counter(term for tf in self._term_freqs for term in tf)
+        self.idf = {term: math.log(1.0 + (len(self.documents) - d + 0.5) / (d + 0.5))
+                    for term, d in df.items()}
         self.avg_doc_len = (sum(self._doc_lens) / len(self.documents)
                             if self.documents else 0.0)
 
@@ -106,10 +100,6 @@ class Bm25Index:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-    def _idf(self, term: str) -> float:
-        df = self.doc_freqs.get(term, 0)
-        return math.log(1.0 + (len(self.documents) - df + 0.5) / (df + 0.5))
 
     def score(self, query_tokens: Sequence[str], doc_id: int) -> float:
         if not 0 <= doc_id < len(self.documents):
@@ -123,7 +113,7 @@ class Bm25Index:
             freq = tf.get(term, 0)
             if freq == 0:
                 continue
-            total += self._idf(term) * freq * (BM25_K1 + 1) / (freq + length_norm)
+            total += self.idf[term] * freq * (BM25_K1 + 1) / (freq + length_norm)
         return total
 
 
@@ -145,6 +135,27 @@ class EmbeddingCorpus:
         return len(self.vectors)
 
 
+def _ranked_labels(requirement: str,
+                   index: Bm25Index | EmbeddingCorpus) -> list[bool]:
+    """The stored labels, most similar requirement first; score ties keep
+    corpus insertion order."""
+    if len(index) == 0:
+        raise EmptyCorpus("no stored requirements")
+    if isinstance(index, Bm25Index):
+        query = text_tokens(requirement)
+        scores = [index.score(query, i) for i in range(len(index))]
+    else:
+        query_vec = embed_text(requirement, index.provider)
+        scores = [cosine(query_vec, v) for v in index.vectors]
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return [index.labels[i] for i in order]
+
+
+def _passed_fraction(ranked: Sequence[bool], config: KnnConfig) -> float:
+    k = min(config.k, len(ranked))
+    return sum(ranked[:k]) / k
+
+
 def knn_confidence(requirement: str, index: Bm25Index | EmbeddingCorpus,
                    config: KnnConfig) -> float:
     """Fraction of passed labels among the k most similar stored requirements.
@@ -152,39 +163,23 @@ def knn_confidence(requirement: str, index: Bm25Index | EmbeddingCorpus,
     Score ties are broken by corpus insertion order; k is clamped to the
     corpus size so tiny corpora never error.
     """
-    if len(index) == 0:
-        raise EmptyCorpus("no stored requirements")
-    if isinstance(index, Bm25Index):
-        query = text_tokens(requirement)
-        scores = [index.score(query, i) for i in range(len(index))]
-        labels = index.labels
-    else:
-        query_vec = embed_text(requirement, index.provider)
-        scores = [cosine(query_vec, v) for v in index.vectors]
-        labels = index.labels
-    k = min(config.k, len(index))
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
-    retrieved = order[:k]
-    return sum(1 for i in retrieved if labels[i]) / k
+    return _passed_fraction(_ranked_labels(requirement, index), config)
 
 
 def tune_k(train_queries: Sequence[str], train_labels: Sequence[bool],
            index: Bm25Index | EmbeddingCorpus,
            sweep: Sequence[int] = K_SWEEP) -> int:
-    """Pick k from the sweep by training AUROC, smallest k on ties."""
-    from .evaluation import ScoredSample, auroc
+    """Pick k from the sweep by training AUROC, smallest k on ties.
 
+    Each query is ranked against the index once; every k reads a prefix.
+    """
+    ranked = [_ranked_labels(q, index) for q in train_queries]
     best_k, best_score = sweep[0], -1.0
     for k in sweep:
         cfg = KnnConfig(k=k)
-        scored = [
-            ScoredSample(id=str(i),
-                         score=knn_confidence(q, index, cfg),
-                         label=label)
-            for i, (q, label) in enumerate(zip(train_queries, train_labels))
-        ]
         try:
-            score = auroc(scored)
+            score = rank_auroc([_passed_fraction(r, cfg) for r in ranked],
+                               train_labels)
         except SingleClass:
             score = 0.5
         if score > best_score:

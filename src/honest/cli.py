@@ -308,13 +308,11 @@ def cmd_eval(args) -> int:
 
     scored = []
     for sample, entry in select:
-        if not reads_programs:
-            entry = None
-        elif entry is None:
+        if entry is None and reads_programs:
             raise CliError(f"archive missing entry for id {sample.id!r}, "
                            f"model {args.model!r}")
         sample_set = (_entry_to_sample_set(entry, sample.requirement, sample.language)
-                      if entry else None)
+                      if reads_programs else None)
         # program counts only when every archived program has a verdict
         verdicts = [p.verdict for p in entry.programs] if entry else [None]
         counted = None not in verdicts

@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 from .analysis import DEFAULT_SUBTREE_HEIGHT, _cst_and_dataflow, extract_subtrees
 from .embeddings import EmbeddingProviderConfig, _embed_tokenized
 from .errors import DegenerateLabels, TooFewSamples
+from .evaluation import rank_auroc
 from .model import Program, SampleSet, tokenize
 from .similarity import (
     SimilarityBreakdown,
@@ -151,8 +152,6 @@ def tune_weights_from_modality_means(
 
     Ties go to the lexicographically smallest (alpha, beta, gamma, delta).
     """
-    from .evaluation import ScoredSample, auroc
-
     if len(set(labels)) < 2:
         raise DegenerateLabels("training data contains a single class")
     best: Optional[SimilarityWeights] = None
@@ -160,12 +159,8 @@ def tune_weights_from_modality_means(
     grid = weight_grid(step)
     for w in grid:
         wt = w.as_tuple()
-        scored = [
-            ScoredSample(id=str(k), score=sum(m * x for m, x in zip(mean, wt)),
-                         label=label)
-            for k, (mean, label) in enumerate(zip(means, labels))
-        ]
-        score = auroc(scored)
+        score = rank_auroc([sum(m * x for m, x in zip(mean, wt)) for mean in means],
+                           labels)
         if score > best_auroc:
             best, best_auroc = w, score
     return TuningResult(weights=best, train_auroc=best_auroc,

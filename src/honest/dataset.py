@@ -160,6 +160,9 @@ def load_samples(path: str | Path) -> list[SampleArchiveEntry]:
             probs = p.get("token_probs")
             verdict = p.get("verdict")
             try:
+                if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                           for v in [p["temperature"], *(probs or ())]):
+                    raise TypeError("temperature and token_probs must be JSON numbers")
                 # the bounds a sampled program's Origin enforces
                 origin = Origin(temperature=float(p["temperature"]),
                                 token_probs=tuple(probs) if probs else None)

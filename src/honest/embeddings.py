@@ -156,10 +156,15 @@ def _embed_tokenized(program: Program, tokens: TokenSequence,
     return embed(program, config)
 
 
+def text_tokens(text: str) -> list[str]:
+    """Word tokenization of plain text (requirements), for hashing and retrieval."""
+    return re.findall(r"\w+", text.lower())
+
+
 def embed_text(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
     """Embed plain text (requirements). Local provider hashes word tokens."""
     if config.kind is ProviderKind.LOCAL_HASHED:
-        return _hashed_vector(re.findall(r"\w+", text.lower()), config.dimension)
+        return _hashed_vector(text_tokens(text), config.dimension)
     return _remote_embed(text, config)
 
 

@@ -1,8 +1,7 @@
-"""Ranking metrics (AUROC, average-precision AUCPR), confusion quantities,
-and the correct/erroneous-shown threshold sweep."""
+"""Ranking metrics (AUROC, average-precision AUCPR) and the
+correct/erroneous-shown threshold sweep."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,38 +31,30 @@ class SweepPoint:
     shown_erroneous: int
 
 
-@dataclass(frozen=True)
-class Confusion:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    tpr: float
-    fpr: float
-    precision: float
-    recall: float
-
-
-def auroc(scored: Sequence[ScoredSample]) -> float:
-    """Mann-Whitney AUROC via average ranks; passed/failed score ties count 0.5."""
-    pos = [s.score for s in scored if s.label]
-    neg = [s.score for s in scored if not s.label]
+def rank_auroc(scores: Sequence[float], labels: Sequence[bool]) -> float:
+    """Mann-Whitney AUROC via average ranks over parallel *scores* and
+    *labels* (True = passed); passed/failed score ties count 0.5."""
+    pos = [s for s, label in zip(scores, labels) if label]
+    neg = [s for s, label in zip(scores, labels) if not label]
     if not pos or not neg:
         raise SingleClass("AUROC needs both a passed and a failed label")
     ranked = sorted([(s, 1) for s in pos] + [(s, 0) for s in neg])
-    ranks: list[float] = [0.0] * len(ranked)
+    rank_sum_pos = 0.0  # half-integers throughout, so every sum is exact
     i = 0
     while i < len(ranked):
         j = i
         while j < len(ranked) and ranked[j][0] == ranked[i][0]:
             j += 1
         avg_rank = (i + 1 + j) / 2  # 1-based average over the tie group
-        for k in range(i, j):
-            ranks[k] = avg_rank
+        rank_sum_pos += avg_rank * sum(is_pos for _, is_pos in ranked[i:j])
         i = j
-    rank_sum_pos = sum(r for r, (_, is_pos) in zip(ranks, ranked) if is_pos)
     u = rank_sum_pos - len(pos) * (len(pos) + 1) / 2
     return u / (len(pos) * len(neg))
+
+
+def auroc(scored: Sequence[ScoredSample]) -> float:
+    """``rank_auroc`` over the samples' scores and labels."""
+    return rank_auroc([s.score for s in scored], [s.label for s in scored])
 
 
 def aucpr(scored: Sequence[ScoredSample], mode: str = "average-precision") -> float:
@@ -124,22 +115,3 @@ def threshold_sweep(scored: Sequence[ScoredSample],
                                 shown_erroneous=erroneous))
     return sweep
 
-
-def confusion(scored: Sequence[ScoredSample], threshold: float) -> Confusion:
-    """Counts and rates at one threshold; passed is predicted iff score is
-    strictly greater than the threshold. 0/0 ratios come back as NaN."""
-    tp = sum(1 for s in scored if s.label and s.score > threshold)
-    fp = sum(1 for s in scored if not s.label and s.score > threshold)
-    fn = sum(1 for s in scored if s.label and s.score <= threshold)
-    tn = sum(1 for s in scored if not s.label and s.score <= threshold)
-
-    def ratio(num: int, den: int) -> float:
-        return num / den if den else math.nan
-
-    return Confusion(
-        tp=tp, fp=fp, tn=tn, fn=fn,
-        tpr=ratio(tp, tp + fn),
-        fpr=ratio(fp, fp + tn),
-        precision=ratio(tp, tp + fp),
-        recall=ratio(tp, tp + fn),
-    )

@@ -1,10 +1,14 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honest.baselines import (
+    BM25_B,
+    BM25_K1,
+    K_SWEEP,
     Bm25Index,
     EmbeddingCorpus,
     KnnConfig,
@@ -17,6 +21,7 @@ from honest.baselines import (
     tune_k,
 )
 from honest.client import GenerationRecord, SamplingConfig
+from honest.embeddings import EmbeddingProviderConfig, ProviderKind, cosine, embed_text
 from honest.errors import EmptyCorpus, EmptyInput, MissingLogprobs, UnknownDocument
 from honest.model import Language, Program
 
@@ -186,3 +191,96 @@ class TestKnn:
         corpus = EmbeddingCorpus.build(self.REQS, self.LABELS, local_provider)
         k = tune_k(self.REQS, self.LABELS, corpus)
         assert k in (1, 3, 5, 10, 20)
+
+
+# Local copies of the per-query loops: BM25 idf recomputed for every term of
+# every call, every k re-scoring the whole index, AUROC by pair counting.
+WORDS = ["sort", "the", "list", "parse", "json", "file"]
+requirement_texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join)
+HASHED = EmbeddingProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=64)
+
+
+def per_call_bm25_score(documents, query_tokens, doc_id):
+    tf = Counter(documents[doc_id])
+    avg_doc_len = sum(len(d) for d in documents) / len(documents)
+    length_norm = BM25_K1 * (1.0 - BM25_B
+                             + BM25_B * len(documents[doc_id]) / (avg_doc_len or 1.0))
+    total = 0.0
+    for term in query_tokens:
+        freq = tf.get(term, 0)
+        if freq == 0:
+            continue
+        df = sum(1 for d in documents if term in d)
+        idf = math.log(1.0 + (len(documents) - df + 0.5) / (df + 0.5))
+        total += idf * freq * (BM25_K1 + 1) / (freq + length_norm)
+    return total
+
+
+def per_call_knn(requirement, index, k):
+    if isinstance(index, Bm25Index):
+        query = text_tokens(requirement)
+        scores = [per_call_bm25_score(index.documents, query, i)
+                  for i in range(len(index))]
+    else:
+        query_vec = embed_text(requirement, index.provider)
+        scores = [cosine(query_vec, v) for v in index.vectors]
+    k = min(k, len(index))
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    return sum(1 for i in order[:k] if index.labels[i]) / k
+
+
+def pair_count_auroc(scores, labels):
+    pos = [s for s, label in zip(scores, labels) if label]
+    neg = [s for s, label in zip(scores, labels) if not label]
+    if not pos or not neg:
+        return 0.5  # tune_k's value for a single-class training set
+    wins = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg)
+    return wins / (len(pos) * len(neg))
+
+
+def per_k_tune_k(queries, labels, index, sweep):
+    best_k, best_score = sweep[0], -1.0
+    for k in sweep:
+        score = pair_count_auroc([per_call_knn(q, index, k) for q in queries], labels)
+        if score > best_score:
+            best_k, best_score = k, score
+    return best_k
+
+
+@st.composite
+def knn_cases(draw):
+    """A labelled corpus, and labelled training queries that repeat corpus
+    requirements (tied scores), repeat each other, or may be single-class."""
+    reqs = draw(st.lists(requirement_texts, min_size=1, max_size=8))
+    labels = draw(st.lists(st.booleans(), min_size=len(reqs), max_size=len(reqs)))
+    queries = draw(st.lists(st.sampled_from(reqs) | requirement_texts,
+                            min_size=1, max_size=8))
+    query_labels = draw(st.lists(st.booleans(), min_size=len(queries),
+                                 max_size=len(queries)))
+    return reqs, labels, queries, query_labels
+
+
+class TestSameAsPerQueryLoops:
+    @given(knn_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bm25_score_equals_per_call_idf(self, case):
+        reqs, labels, queries, _ = case
+        index = Bm25Index.build(reqs, labels)
+        for q in queries:
+            for i in range(len(index)):
+                assert index.score(text_tokens(q), i) == per_call_bm25_score(
+                    index.documents, text_tokens(q), i)
+
+    @pytest.mark.parametrize("kind", ["bm25", "embedding"])
+    @given(case=knn_cases())
+    @settings(max_examples=100, deadline=None)
+    def test_knn_and_tune_k_equal_per_k_loops(self, kind, case):
+        reqs, labels, queries, query_labels = case
+        index = (Bm25Index.build(reqs, labels) if kind == "bm25"
+                 else EmbeddingCorpus.build(reqs, labels, HASHED))
+        for q in queries:
+            for k in (1, 3, 50):
+                assert knn_confidence(q, index, KnnConfig(k=k)) == per_call_knn(q, index, k)
+        for sweep in (K_SWEEP, (1, 2, 3)):
+            assert (tune_k(queries, query_labels, index, sweep)
+                    == per_k_tune_k(queries, query_labels, index, sweep))

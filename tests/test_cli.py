@@ -275,6 +275,19 @@ class TestEvalCommand:
         assert rows[0] == "threshold,shown_correct,shown_erroneous"
         assert len(rows) == 101
 
+    @pytest.mark.parametrize("method", ["knn-bm25", "knn-embed"])
+    def test_sweep_csv_for_methods_that_ignore_programs(self, tmp_path, method):
+        # program counts come from the archive's verdicts, not from the scorer
+        bench_path, arch_path = build_fixture(tmp_path)
+        sweep_out = tmp_path / "sweep.csv"
+        code = main(["eval", "--benchmark", str(bench_path),
+                     "--archive", str(arch_path), "--model", MODEL,
+                     "--method", method, "--sweep-out", str(sweep_out)])
+        assert code == 0
+        rows = sweep_out.read_text().splitlines()
+        assert rows[0] == "threshold,shown_correct,shown_erroneous"
+        assert len(rows) == 101
+
     def test_classifier_method_is_rejected(self, tmp_path, capsys):
         bench_path, arch_path = build_fixture(tmp_path)
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,8 @@ import random
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honest import confidence, embeddings, model
 from honest.analysis import extract_dataflow, extract_subtrees, parse_cst
@@ -21,6 +23,7 @@ from honest.confidence import (
 )
 from honest.errors import DegenerateLabels, TooFewSamples
 from honest.embeddings import embed
+from honest.evaluation import ScoredSample, auroc
 from honest.model import Language, Program, SampleSet
 from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
 
@@ -152,7 +155,6 @@ class TestTuneWeights:
         labels = [rng.random() < 0.5 for _ in range(30)]
         if len(set(labels)) < 2:
             labels[0] = not labels[0]
-        from honest.evaluation import ScoredSample, auroc
         uniform_scored = [
             ScoredSample(id=str(i), score=sum(m) / 4, label=label)
             for i, (m, label) in enumerate(zip(means, labels))
@@ -174,6 +176,32 @@ class TestTuneWeights:
         train = [(sample_set(PYTHON_CORPUS[:2]), True)]
         with pytest.raises(DegenerateLabels):
             tune_weights(train, local_provider)
+
+    @given(st.data(), st.sampled_from([0.25, 0.1, 0.05]))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_per_point_loop(self, data, step):
+        # few distinct values and repeated rows force tied scores and tied
+        # AUROCs across grid points; single-class labels must still raise
+        rows = data.draw(st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 1.0,
+                                                               0.3, 0.7])] * 4),
+                                  min_size=1, max_size=6))
+        means = data.draw(st.lists(st.sampled_from(rows), min_size=2, max_size=24))
+        labels = data.draw(st.lists(st.booleans(), min_size=len(means),
+                                    max_size=len(means)))
+        if len(set(labels)) < 2:
+            with pytest.raises(DegenerateLabels):
+                tune_weights_from_modality_means(means, labels, step)
+            return
+        best, best_auroc = None, -1.0
+        for w in weight_grid(step):
+            scores = [sum(m * x for m, x in zip(mean, w.as_tuple())) for mean in means]
+            pos = [s for s, label in zip(scores, labels) if label]
+            neg = [s for s, label in zip(scores, labels) if not label]
+            wins = sum(1.0 if p > n else 0.5 if p == n else 0.0 for p in pos for n in neg)
+            if wins / (len(pos) * len(neg)) > best_auroc:
+                best, best_auroc = w, wins / (len(pos) * len(neg))
+        result = tune_weights_from_modality_means(means, labels, step)
+        assert (result.weights, result.train_auroc) == (best, best_auroc)
 
     def test_weights_round_trip(self, tmp_path):
         from honest.confidence import TuningResult

@@ -219,8 +219,13 @@ class TestSampleArchive:
         {"id": "b", "model": "m", "programs": ["source, temperature"]},
         {"id": "b", "model": "m", "programs": [{"source": 5, "temperature": 0}]},
         {"id": "b", "model": "m", "programs": [{"source": "y", "temperature": 10**400}]},
+        {"id": "b", "model": "m", "programs": [{"source": "y", "temperature": "1.5"}]},
+        {"id": "b", "model": "m", "programs": [{"source": "y", "temperature": True}]},
+        {"id": "b", "model": "m", "programs": [{"source": "y", "temperature": 0.5,
+                                                "token_probs": [True, 0.5]}]},
     ], ids=["numeric-id", "null-model", "programs-object", "program-string",
-            "numeric-source", "huge-temperature"])
+            "numeric-source", "huge-temperature", "string-temperature",
+            "bool-temperature", "bool-token-prob"])
     def test_field_of_wrong_json_type_reports_line_number(self, tmp_path, line):
         path = tmp_path / "arch.jsonl"
         write_lines(path, [{"id": "a", "model": "m",

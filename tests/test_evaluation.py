@@ -4,7 +4,7 @@ import random
 import pytest
 
 from honest.errors import MissingProgramCounts, NoPositives, SingleClass
-from honest.evaluation import ScoredSample, aucpr, auroc, confusion, threshold_sweep
+from honest.evaluation import ScoredSample, aucpr, auroc, threshold_sweep
 
 
 def scored(pairs, counts=None):
@@ -175,22 +175,3 @@ class TestThresholdSweep:
         with pytest.raises(ValueError):
             threshold_sweep([])
 
-
-class TestConfusion:
-    def test_counts(self):
-        samples = scored([(0.9, True), (0.6, False), (0.4, True), (0.1, False)])
-        c = confusion(samples, threshold=0.5)
-        assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-        assert c.tpr == 0.5 and c.fpr == 0.5
-        assert c.precision == 0.5 and c.recall == 0.5
-
-    def test_strictly_greater_than(self):
-        samples = scored([(0.5, True)])
-        assert confusion(samples, threshold=0.5).tp == 0
-        assert confusion(samples, threshold=0.49).tp == 1
-
-    def test_zero_division_is_nan(self):
-        samples = scored([(0.2, False)])
-        c = confusion(samples, threshold=0.5)
-        assert math.isnan(c.tpr) and math.isnan(c.precision)
-        assert c.fpr == 0.0

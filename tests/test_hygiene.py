@@ -56,6 +56,16 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    """A function-local import hides a dependency from test_every_import_is_used."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    hidden = [f"{fn.name} (line {node.lineno})" for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not hidden, f"{path.name} imports inside functions: {', '.join(hidden)}"
+
+
 def _module_constants(tree):
     """Module-level names that are private (``_x``) or UPPER_CASE, with the
     line that binds them."""
