@@ -13,11 +13,9 @@ import ast
 from collections import Counter
 from dataclasses import dataclass
 
-from pygments.lexers import JavaLexer
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
 
-from .errors import UnsupportedLanguage
-from .model import Language, Program
+from .model import Language, Lexed, Program, lex
 
 DEFAULT_SUBTREE_HEIGHT = 2
 
@@ -91,8 +89,6 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
 # ---------------------------------------------------------------------------
 # Java parsing
 
-_JAVA_LEXER = JavaLexer(stripnl=False)
-
 _JAVA_DECL_KINDS = {
     "class": "class_declaration",
     "interface": "interface_declaration",
@@ -113,10 +109,10 @@ _JAVA_STMT_KINDS = {
 }
 
 
-def _java_tokens(source: str) -> list[tuple[str, str]]:
-    """(kind, text) pairs with comments and whitespace removed."""
+def _java_tokens(lexed: Lexed) -> list[tuple[str, str]]:
+    """(kind, text) pairs of a ``lex`` stream, comments and whitespace removed."""
     out = []
-    for tok, text in _JAVA_LEXER.get_tokens(source):
+    for tok, text in lexed:
         if tok in Comment or text.strip() == "":
             continue
         if tok in String:
@@ -384,23 +380,22 @@ def extract_dataflow(program: Program) -> DataflowGraph:
     return _cst_and_dataflow(program)[1]
 
 
-def _cst_and_dataflow(program: Program) -> tuple[CstNode, DataflowGraph]:
-    """``(parse_cst(program), extract_dataflow(program))`` from one Python
-    parse (with its error recovery) or one Java lexing."""
+def _cst_and_dataflow(program: Program,
+                      lexed: Lexed | None = None) -> tuple[CstNode, DataflowGraph]:
+    """``(parse_cst(program), extract_dataflow(program))`` from one parse: Python's
+    source (with its error recovery), or Java's ``lexed`` (``lex(program)`` if None)."""
     if program.language is Language.PYTHON:
         visitor = _PyDefUse()
         try:
             module, dropped = _parse_python_ast(program.source)
             tree = _convert_py(module)
             visitor.visit(module)
-        except RecursionError:
-            # nested too deep for ast or the recursive walks: the state the
-            # line-drop recovery ends in, every line dropped and no edges
+        except (RecursionError, UnicodeEncodeError):
+            # too deep for ast or the tree walks, or a lone surrogate ast cannot
+            # encode: where line-drop recovery ends, every line dropped, no edges
             tree, dropped = CstNode("Module"), len(program.source.splitlines())
             visitor.edges.clear()
         return (CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped),
                 DataflowGraph(visitor.edges))
-    if program.language is Language.JAVA:
-        tokens = _java_tokens(program.source)
-        return _parse_java(tokens), DataflowGraph(_java_dataflow(tokens))
-    raise UnsupportedLanguage(str(program.language))
+    tokens = _java_tokens(lex(program) if lexed is None else lexed)
+    return _parse_java(tokens), DataflowGraph(_java_dataflow(tokens))

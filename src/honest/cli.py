@@ -220,7 +220,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_gate(args) -> int:
-    reports = {}
+    reports: dict[str, list[dict]] = {}
     for number, raw in enumerate(Path(args.report).read_text().splitlines(), 1):
         if not raw.strip():
             continue
@@ -232,19 +232,25 @@ def cmd_gate(args) -> int:
                 and "n" in obj and isinstance(obj.get("confidence"), (int, float))):
             raise CliError(f"report line {number}: expected an object with a "
                            f"string \"id\", \"n\" and a numeric \"confidence\"")
-        reports[obj["id"]] = obj
+        reports.setdefault(obj["id"], []).append(obj)
     if not reports:
         raise CliError("empty report file")
     rid = args.id if args.id is not None else next(iter(reports))
     if rid not in reports:
         raise CliError(f"id {rid!r} not found in report")
-    report_obj = reports[rid]
+    if len(reports[rid]) > 1:
+        raise CliError(f"report has {len(reports[rid])} lines for id {rid!r} (models "
+                       f"{[o.get('model') for o in reports[rid]]}); keep the one to gate")
+    report_obj = reports[rid][0]
 
     language = Language.parse(args.language)
-    entry = next((e for e in dataset.load_samples(args.archive) if e.id == rid), None)
-    if entry is None:
-        raise CliError(f"id {rid!r} not found in archive")
-    sample_set = _entry_to_sample_set(entry, requirement="", language=language)
+    # the report line's (id, model); a line without "model" matches by id alone
+    entries = [e for e in dataset.load_samples(args.archive)
+               if e.id == rid and report_obj.get("model", e.model) == e.model]
+    if len(entries) != 1:
+        raise CliError(f"id {rid!r}: {len(entries)} archive entries match the report "
+                       f"line (models {[e.model for e in entries]}), not one")
+    sample_set = _entry_to_sample_set(entries[0], requirement="", language=language)
 
     report = confidence.ConfidenceReport(
         requirement_id=rid, n=report_obj["n"], confidence=report_obj["confidence"])

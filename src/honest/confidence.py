@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import DEFAULT_SUBTREE_HEIGHT, _cst_and_dataflow, extract_subtrees
-from .embeddings import EmbeddingProviderConfig, _embed_tokenized
+from .analysis import _cst_and_dataflow, extract_subtrees
+from .embeddings import EmbeddingProviderConfig, _embed
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import rank_auroc
-from .model import Program, SampleSet, tokenize
+from .model import Program, SampleSet, lex, token_sequence
 from .similarity import (
     SimilarityBreakdown,
     SimilarityWeights,
@@ -49,15 +49,16 @@ class ProgramAnalysis:
     embedding: object
 
 
-def analyze_program(program: Program, provider: EmbeddingProviderConfig,
-                    height: int = DEFAULT_SUBTREE_HEIGHT) -> ProgramAnalysis:
-    tokens = tokenize(program)
-    tree, dataflow = _cst_and_dataflow(program)
+def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> ProgramAnalysis:
+    """Tokens, subtree bag, dataflow and embedding from one lexing."""
+    lexed = lex(program)
+    tokens = token_sequence(lexed)
+    tree, dataflow = _cst_and_dataflow(program, lexed)
     return ProgramAnalysis(
         tokens=tokens,
-        subtree_bag=extract_subtrees(tree, height),
+        subtree_bag=extract_subtrees(tree),
         dataflow=dataflow,
-        embedding=_embed_tokenized(program, tokens, provider),
+        embedding=_embed(program.source, tokens.tokens, provider),
     )
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ProviderUnavailable,
     ZeroVector,
 )
-from .model import Program, TokenSequence, tokenize
+from .model import Program, tokenize
 
 _HASH_SEED = b"honest-localhashed-v1"  # fixed: vectors must be reproducible
 
@@ -69,7 +69,7 @@ class EmbeddingProviderConfig:
 
 
 def _bucket(feature: str, dimension: int) -> tuple[int, float]:
-    digest = hashlib.blake2b(feature.encode("utf-8"), key=_HASH_SEED,
+    digest = hashlib.blake2b(feature.encode("utf-8", "surrogatepass"), key=_HASH_SEED,
                              digest_size=8).digest()
     value = int.from_bytes(digest, "big")
     sign = 1.0 if value & 1 else -1.0
@@ -140,20 +140,17 @@ def _remote_embed(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector
     return vector
 
 
+def _embed(text: str, features: Sequence[str],
+           config: EmbeddingProviderConfig) -> EmbeddingVector:
+    """The one provider switch: hash *features* locally, or send *text* remote."""
+    if config.kind is ProviderKind.LOCAL_HASHED:
+        return _hashed_vector(features, config.dimension)
+    return _remote_embed(text, config)
+
+
 def embed(program: Program, config: EmbeddingProviderConfig) -> EmbeddingVector:
-    """Embed a program's source. Deterministic for the local-hashed provider."""
-    if config.kind is ProviderKind.LOCAL_HASHED:
-        return _hashed_vector(tokenize(program).tokens, config.dimension)
-    return _remote_embed(program.source, config)
-
-
-def _embed_tokenized(program: Program, tokens: TokenSequence,
-                     config: EmbeddingProviderConfig) -> EmbeddingVector:
-    """``embed(program, config)`` given ``tokens == tokenize(program)``: the
-    local-hashed provider hashes *tokens* instead of lexing the source again."""
-    if config.kind is ProviderKind.LOCAL_HASHED:
-        return _hashed_vector(tokens.tokens, config.dimension)
-    return embed(program, config)
+    """Embed a program's source; the local provider hashes its lexical tokens."""
+    return _embed(program.source, tokenize(program).tokens, config)
 
 
 def text_tokens(text: str) -> list[str]:
@@ -162,10 +159,8 @@ def text_tokens(text: str) -> list[str]:
 
 
 def embed_text(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
-    """Embed plain text (requirements). Local provider hashes word tokens."""
-    if config.kind is ProviderKind.LOCAL_HASHED:
-        return _hashed_vector(text_tokens(text), config.dimension)
-    return _remote_embed(text, config)
+    """Embed plain text (requirements); the local provider hashes word tokens."""
+    return _embed(text, text_tokens(text), config)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:

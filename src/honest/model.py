@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Optional
 
 from pygments.lexers import JavaLexer, PythonLexer
-from pygments.token import Comment, String
+from pygments.token import Comment, String, _TokenType
 
 from .errors import UnknownLanguage, UnsupportedLanguage
 
@@ -110,22 +110,25 @@ _LEXERS = {
     Language.PYTHON: PythonLexer(stripnl=False),
     Language.JAVA: JavaLexer(stripnl=False),
 }
+Lexed = list[tuple[_TokenType, str]]  # a Pygments (token type, text) stream
 
 
-def tokenize(program: Program) -> TokenSequence:
-    """Split a program into its lexical tokens.
-
-    Comments and whitespace are dropped; consecutive string-literal pieces
-    (Pygments splits quotes from content) are merged back into one token.
-    Deterministic for a fixed (source, language) pair.
-    """
+def lex(program: Program) -> Lexed:
+    """The program's Pygments stream, comments and whitespace included: the one
+    lexing pass that its tokens, Java parse and dataflow, and local embedding read."""
     lexer = _LEXERS.get(program.language)
     if lexer is None:
         raise UnsupportedLanguage(str(program.language))
+    return list(lexer.get_tokens(program.source))
 
+
+def token_sequence(lexed: Lexed) -> TokenSequence:
+    """The lexical tokens of a ``lex`` stream. Comments and whitespace are
+    dropped; consecutive string-literal pieces (Pygments splits quotes from
+    content) are merged back into one token."""
     tokens: list[str] = []
     string_run: list[str] = []
-    for kind, text in lexer.get_tokens(program.source):
+    for kind, text in lexed:
         if kind in String:
             string_run.append(text)
             continue
@@ -140,3 +143,8 @@ def tokenize(program: Program) -> TokenSequence:
     if string_run:
         tokens.append("".join(string_run))
     return TokenSequence(tuple(tokens))
+
+
+def tokenize(program: Program) -> TokenSequence:
+    """A program's lexical tokens; deterministic for a fixed (source, language)."""
+    return token_sequence(lex(program))

@@ -14,7 +14,7 @@ from honest.analysis import (
     parse_cst,
 )
 from honest.confidence import estimate_confidence
-from honest.model import Language, Program, SampleSet
+from honest.model import Language, Program, SampleSet, lex
 from honest.similarity import SimilarityWeights
 
 
@@ -214,7 +214,7 @@ def seed_parse_java_group(tokens, pos, closer, in_type_body):
 
 
 def seed_parse_java(source):
-    nodes, _ = seed_parse_java_group(_java_tokens(source), 0, None, True)
+    nodes, _ = seed_parse_java_group(_java_tokens(lex(java(source))), 0, None, True)
     return CstNode("compilation_unit", tuple(nodes))
 
 

@@ -208,6 +208,42 @@ class TestGateCommand:
     def test_unknown_id_is_usage_error(self, tmp_path):
         assert self.run_gate(tmp_path, 0.5, rid="missing") == 2
 
+    def test_matches_the_report_line_model(self, tmp_path, capsys):
+        """One id archived for two models: each report line is gated with its
+        own model's programs, and an ambiguous report or archive exits 2."""
+        arch = tmp_path / "arch.jsonl"
+        save_samples([
+            SampleArchiveEntry("t0", "A", tuple(ArchivedProgram("x = 1", 1.0)
+                                                for _ in range(2))),
+            SampleArchiveEntry("t0", "B", tuple(ArchivedProgram(src, 1.0)
+                                                for src in PYTHON_CORPUS[:2])),
+        ], arch)
+        report = tmp_path / "report.jsonl"
+        assert main(["estimate", "--archive", str(arch), "--language", "python",
+                     "--out", str(report)]) == 0
+        lines = {json.loads(line)["model"]: line for line in report.read_text().splitlines()}
+
+        def gate(text):
+            path = tmp_path / "one.jsonl"
+            path.write_text(text + "\n")
+            capsys.readouterr()
+            code = main(["gate", "--report", str(path), "--archive", str(arch),
+                         "--id", "t0", "--language", "python", "--threshold", "0.05"])
+            out, err = capsys.readouterr()
+            return code, (json.loads(out) if code == 0 else err)
+
+        code, err = gate(report.read_text().strip())
+        assert code == 2 and "'A'" in err and "'B'" in err
+        for model, sources in (("A", ["x = 1"] * 2), ("B", list(PYTHON_CORPUS[:2]))):
+            code, payload = gate(lines[model])
+            assert code == 0
+            assert payload["programs"] == sources
+            assert payload["confidence"] == json.loads(lines[model])["confidence"]
+        anonymous = json.loads(lines["B"])
+        del anonymous["model"]
+        code, err = gate(json.dumps(anonymous))
+        assert code == 2 and "2 archive entries" in err
+
     def test_print_config_prints_and_does_not_gate(self, tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.setenv("HONEST_ENDPOINT", "http://from-env")

@@ -4,11 +4,13 @@ import random
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from pygments.lexers import JavaLexer
+from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
 
-from honest import confidence, embeddings, model
-from honest.analysis import extract_dataflow, extract_subtrees, parse_cst
+from honest import confidence, model
+from honest.analysis import _java_tokens, extract_dataflow, extract_subtrees, parse_cst
 from honest.confidence import (
     estimate_confidence,
     load_weights,
@@ -21,10 +23,10 @@ from honest.confidence import (
     weight_grid,
     analyze_program,
 )
-from honest.errors import DegenerateLabels, TooFewSamples
+from honest.errors import DegenerateLabels, HonestError, TooFewSamples
 from honest.embeddings import embed
 from honest.evaluation import ScoredSample, auroc
-from honest.model import Language, Program, SampleSet
+from honest.model import Language, Program, SampleSet, lex, tokenize
 from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
 
 
@@ -214,19 +216,23 @@ class TestTuneWeights:
 
 
 class TestAnalyzeProgram:
-    def test_tokenizes_once(self, local_provider, monkeypatch):
-        calls = []
-        real = model.tokenize
+    def test_lexes_once(self, local_provider, monkeypatch):
+        """One Pygments pass per program feeds the tokens, the tree, the
+        dataflow and the embedding. The lexer class is patched, so a second
+        lexer instance anywhere in the package would count too."""
+        for language, source in ((Language.PYTHON, PYTHON_CORPUS[4]),
+                                 (Language.JAVA, JAVA_CORPUS[1])):
+            calls = []
+            lexer_class = type(model._LEXERS[language])
+            real = lexer_class.get_tokens
 
-        def counted(program):
-            calls.append(program)
-            return real(program)
+            def counted(self, text, *args, real=real, calls=calls):
+                calls.append(text)
+                return real(self, text, *args)
 
-        for module in (model, confidence, embeddings):
-            monkeypatch.setattr(module, "tokenize", counted)
-        program = py(PYTHON_CORPUS[4])
-        analyze_program(program, local_provider)
-        assert calls == [program]
+            monkeypatch.setattr(lexer_class, "get_tokens", counted)
+            analyze_program(Program(source, language), local_provider)
+            assert calls == [source], language
 
     def test_parses_clean_python_once(self, local_provider, monkeypatch):
         calls = []
@@ -251,6 +257,64 @@ class TestAnalyzeProgram:
         assert analysis.embedding == embed(program, local_provider)
         assert analysis.subtree_bag == extract_subtrees(parse_cst(program))
         assert analysis.dataflow == extract_dataflow(program)
+
+
+_SEED_JAVA_LEXER = JavaLexer(stripnl=False)
+
+
+def seed_java_tokens(source):
+    """``analysis._java_tokens`` as first written, when it lexed the source
+    a second time with its own JavaLexer."""
+    out = []
+    for tok, text in _SEED_JAVA_LEXER.get_tokens(source):
+        if tok in Comment or text.strip() == "":
+            continue
+        if tok in String:
+            out.append(("string_literal", text))
+        elif tok in Number:
+            out.append(("number_literal", text))
+        elif tok in Keyword:
+            out.append(("kw_" + text.strip(), text.strip()))
+        elif tok in Name:
+            out.append(("identifier", text.strip()))
+        elif tok in Operator:
+            out.append(("op_" + text.strip(), text.strip()))
+        elif tok in Punctuation:
+            out.append((text.strip(), text.strip()))
+        else:
+            out.append(("token", text.strip()))
+    return out
+
+
+_CODE_PIECES = ["def f(x):", "class A {", "int f() {", "{", "}", "(", ")", "[", "]",
+                ";", ":", ",", "=", "+=", "==", ">>>=", "if", "else", "for", "return",
+                "x", "y", "1", "2.5e3", '"s"', "'", '"', "#", "//", "/*", "*/", "\\",
+                "@", "\n", "    ", "\t"]
+
+# arbitrary text, lone surrogates included, and code-like text
+program_text = st.one_of(
+    st.text(st.characters(exclude_categories=()), max_size=300),
+    st.lists(st.sampled_from(_CODE_PIECES), max_size=80).map(lambda p: "".join(p)[:300]))
+
+
+@given(source=program_text, language=st.sampled_from(list(Language)))
+@example(source="x = '\ud800'", language=Language.PYTHON)
+@example(source="String s = \"\ud800\";", language=Language.JAVA)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore::SyntaxWarning")  # ast.parse warns on text like "1if"
+def test_analysis_is_total_and_reads_one_lexing(source, language, local_provider):
+    """Any text in either language ends in an analysis or a typed error, and
+    the one-lexing analysis equals the public functions, each lexing anew."""
+    program = Program(source, language)
+    try:
+        analysis = analyze_program(program, local_provider)
+    except HonestError:
+        return
+    assert analysis.tokens == tokenize(program)
+    assert analysis.subtree_bag == extract_subtrees(parse_cst(program))
+    assert analysis.dataflow == extract_dataflow(program)
+    assert analysis.embedding == embed(program, local_provider)
+    assert _java_tokens(lex(Program(source, Language.JAVA))) == seed_java_tokens(source)
 
 
 class TestModalityMeans:

@@ -1,5 +1,6 @@
 """Source hygiene checks that need no linter: stdlib ``ast`` only."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -102,3 +103,45 @@ def test_every_private_name_and_constant_is_read():
     unread = [f"{module}: {name} (line {line})" for module, tree in trees.items()
               for name, line in _module_constants(tree) if name not in read]
     assert not unread, f"names no package module reads: {', '.join(unread)}"
+
+
+def _lexing_sites(tree):
+    """Lines that import ``pygments.lexers`` or call a lexer's ``get_tokens``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            names = []
+        calls = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "get_tokens")
+        if calls or any(name.startswith("pygments.lexers") for name in names):
+            yield node.lineno
+
+
+def test_only_model_lexes():
+    """One Pygments pass per program: ``model.lex`` owns the lexers, and every
+    other module reads the stream it returns."""
+    sites = {p.name: list(_lexing_sites(ast.parse(p.read_text(), filename=str(p))))
+             for p in sorted(SRC.glob("*.py"))}
+    lexing = {name: lines for name, lines in sites.items() if lines}
+    assert set(lexing) == {"model.py"}, f"modules that lex: {lexing}"
+
+
+def _top_level_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            yield node.module.split(".")[0]
+
+
+def test_every_dependency_is_imported():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    project = tomllib.loads((SRC.parent.parent / "pyproject.toml").read_text())["project"]
+    imported = {name for p in SRC.glob("*.py")
+                for name in _top_level_imports(ast.parse(p.read_text(), filename=str(p)))}
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    assert not declared - imported, f"declared but never imported: {sorted(declared - imported)}"
