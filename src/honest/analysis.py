@@ -10,6 +10,7 @@ keywords and literals become leaf kinds. Both languages produce the same
 from __future__ import annotations
 
 import ast
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 
@@ -66,6 +67,17 @@ def _convert_py(node: ast.AST) -> CstNode:
     return CstNode(type(node).__name__, tuple(children))
 
 
+def _ast_parse(text: str) -> ast.Module:
+    """``ast.parse`` without its warnings ("1if" warns), raising RecursionError for
+    all nesting too deep for it: its fixed stack fails with MemoryError."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return ast.parse(text)
+    except MemoryError as exc:
+        raise RecursionError("too deeply nested for ast.parse") from exc
+
+
 def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     """Parse Python source, dropping offending lines one at a time until the
     rest parses. Returns the module and how many lines were dropped.
@@ -73,14 +85,14 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     Always ends: once every line is dropped, the empty source parses.
     """
     try:
-        return ast.parse(source), 0
+        return _ast_parse(source), 0
     except SyntaxError:
         pass
     lines = source.splitlines()
     kept = list(range(len(lines)))
     while True:
         try:
-            return ast.parse("\n".join(lines[i] for i in kept)), len(lines) - len(kept)
+            return _ast_parse("\n".join(lines[i] for i in kept)), len(lines) - len(kept)
         except SyntaxError as exc:
             # lineno refers to the trimmed text; map back to the original
             del kept[min((exc.lineno or 1) - 1, len(kept) - 1)]
@@ -251,123 +263,82 @@ def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> Sub
 # Dataflow extraction
 
 
-class _PyDefUse(ast.NodeVisitor):
-    """Flow-insensitive def-use pass, statements in source order."""
-
-    def __init__(self):
-        self.edges: Counter = Counter()
-
-    @staticmethod
-    def _loads(node: ast.AST) -> list[str]:
-        # names used directly as call targets are not value reads
-        call_funcs = {id(c.func) for c in ast.walk(node)
-                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
-        return [n.id for n in ast.walk(node)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                and id(n) not in call_funcs]
-
-    @staticmethod
-    def _stores(node: ast.AST) -> list[str]:
-        return [n.id for n in ast.walk(node)
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-
-    def _add(self, reads: list[str], writes: list[str]):
-        for w in writes:
-            for r in reads:
-                self.edges[(r, w)] += 1
-
-    def visit_Assign(self, node: ast.Assign):
-        reads = self._loads(node.value)
-        for target in node.targets:
-            self._add(reads + self._loads(target), self._stores(target))
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign):
-        if node.value is not None:
-            self._add(self._loads(node.value), self._stores(node.target))
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign):
-        writes = self._stores(node.target)
-        # the previous value of the target feeds the new one
-        self._add(self._loads(node.value) + writes, writes)
-        self.generic_visit(node)
-
-    def visit_NamedExpr(self, node: ast.NamedExpr):
-        self._add(self._loads(node.value), self._stores(node.target))
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For):
-        self._add(self._loads(node.iter), self._stores(node.target))
-        self.generic_visit(node)
-
-    visit_AsyncFor = visit_For
-
-    def visit_withitem(self, node: ast.withitem):
-        if node.optional_vars is not None:
-            self._add(self._loads(node.context_expr),
-                      self._stores(node.optional_vars))
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node: ast.comprehension):
-        self._add(self._loads(node.iter), self._stores(node.target))
-        self.generic_visit(node)
+def _names(node: ast.AST, ctx: type) -> list[str]:
+    """Names under ``node`` in context ``ctx``; a name called directly is no read."""
+    nodes = list(ast.walk(node))
+    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
+    return [n.id for n in nodes if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ctx) and id(n) not in called]
 
 
-_JAVA_ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>="}
-# pygments splits "+=" into "+" then "="; these prefixes mark a compound assign
-_JAVA_COMPOUND_PREFIXES = {"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", ">>>"}
+# node type -> (read field, written field) of the other binding forms; a field
+# holding None (AnnAssign without value, withitem without "as") adds no edge
+_PY_BINDINGS = {
+    ast.AnnAssign: ("value", "target"),
+    ast.NamedExpr: ("value", "target"),
+    ast.For: ("iter", "target"),
+    ast.AsyncFor: ("iter", "target"),
+    ast.withitem: ("context_expr", "optional_vars"),
+    ast.comprehension: ("iter", "target"),
+}
+
+
+def _python_dataflow(module: ast.Module) -> Counter:
+    """One loop over ``ast.walk``, so no interpreter frame per nesting level."""
+    edges: Counter = Counter()
+    for node in ast.walk(module):
+        kind = type(node)
+        if kind is ast.Assign:
+            reads = _names(node.value, ast.Load)
+            pairs = [(reads + _names(t, ast.Load), _names(t, ast.Store))
+                     for t in node.targets]
+        elif kind is ast.AugAssign:
+            writes = _names(node.target, ast.Store)
+            # the previous value of the target feeds the new one
+            pairs = [(_names(node.value, ast.Load) + writes, writes)]
+        elif kind in _PY_BINDINGS:
+            read, written = (getattr(node, field) for field in _PY_BINDINGS[kind])
+            if read is None or written is None:
+                continue
+            pairs = [(_names(read, ast.Load), _names(written, ast.Store))]
+        else:
+            continue
+        for reads, writes in pairs:
+            edges.update((r, w) for w in writes for r in reads)
+    return edges
+
+
+def _java_assignment(seg: list[tuple[str, str]]) -> tuple[str | None, list[str]]:
+    """(target, reads) of a statement segment's first assignment; (None, []) if
+    it has none or no identifier before its "="."""
+    if ("op_=", "=") not in seg:
+        return None, []  # the common case, found without building texts
+    texts = ["", ""] + [text for _, text in seg] + [""]  # seg[i] is texts[i + 2]
+    for idx in [i for i, (kind, _) in enumerate(seg) if kind == "op_="]:
+        prev2, prev, _, nxt = texts[idx:idx + 4]
+        if nxt == "=" or prev in ("=", "!") or (prev in ("<", ">") and prev2 != prev):
+            continue  # ==, !=, <= or >=
+        targets = [t for k, t in seg[:idx] if k == "identifier"]
+        if not targets:
+            return None, []
+        # a name followed by "(" is a method call, not a value read
+        reads = [t for (k, t), after in zip(seg[idx + 1:], texts[idx + 4:])
+                 if k == "identifier" and after != "("]
+        # pygments lexes each operator character alone: "a += b" is "+", "="
+        if prev in {"+", "-", "*", "/", "%", "&", "|", "^", "<", ">"}:
+            reads.append(targets[-1])  # compound assignment reads the target
+        return targets[-1], reads
+    return None, []
 
 
 def _java_dataflow(tokens: list[tuple[str, str]]) -> Counter:
     edges: Counter = Counter()
     # statement boundaries: ; { } anywhere (so for-header clauses split too)
-    segment: list[tuple[str, str]] = []
-
-    def process(seg: list[tuple[str, str]]):
-        for idx, (kind, text) in enumerate(seg):
-            if not (kind.startswith("op_") and text in _JAVA_ASSIGN_OPS):
-                continue
-            compound = text != "="
-            if not compound:
-                # pygments splits multi-char operators; classify the bare "="
-                nxt = seg[idx + 1][1] if idx + 1 < len(seg) else ""
-                prev = seg[idx - 1][1] if idx > 0 else ""
-                prev2 = seg[idx - 2][1] if idx > 1 else ""
-                if nxt == "=" or prev in ("=", "!"):
-                    continue  # == or !=
-                if prev in ("<", ">"):
-                    if prev2 != prev:
-                        continue  # <= or >=
-                    compound = True  # <<= or >>=
-                elif prev in _JAVA_COMPOUND_PREFIXES:
-                    compound = True
-            targets = [t for k, t in seg[:idx] if k == "identifier"]
-            if not targets:
-                return
-            target = targets[-1]
-            reads = []
-            rhs = seg[idx + 1:]
-            for j, (k, t) in enumerate(rhs):
-                if k != "identifier":
-                    continue
-                after = rhs[j + 1][1] if j + 1 < len(rhs) else ""
-                if after == "(":  # method call name, not a value read
-                    continue
-                reads.append(t)
-            if compound:
-                reads.append(target)  # compound assignment reads the target
-            for r in reads:
-                edges[(r, target)] += 1
-            return
-
-    for kind, text in tokens:
-        if text in ";{}":
-            process(segment)
-            segment = []
-        else:
-            segment.append((kind, text))
-    process(segment)
+    cuts = [-1] + [i for i, (_, text) in enumerate(tokens) if text in ";{}"] + [len(tokens)]
+    for start, end in zip(cuts, cuts[1:]):
+        target, reads = _java_assignment(tokens[start + 1:end])
+        for r in reads:
+            edges[(r, target)] += 1
     return edges
 
 
@@ -385,17 +356,15 @@ def _cst_and_dataflow(program: Program,
     """``(parse_cst(program), extract_dataflow(program))`` from one parse: Python's
     source (with its error recovery), or Java's ``lexed`` (``lex(program)`` if None)."""
     if program.language is Language.PYTHON:
-        visitor = _PyDefUse()
         try:
             module, dropped = _parse_python_ast(program.source)
-            tree = _convert_py(module)
-            visitor.visit(module)
+            tree, edges = _convert_py(module), _python_dataflow(module)
         except (RecursionError, UnicodeEncodeError):
-            # too deep for ast or the tree walks, or a lone surrogate ast cannot
-            # encode: where line-drop recovery ends, every line dropped, no edges
-            tree, dropped = CstNode("Module"), len(program.source.splitlines())
-            visitor.edges.clear()
+            # too deep for ast or the tree conversion, or a lone surrogate ast
+            # cannot encode: where line-drop recovery ends, every line dropped
+            tree, edges = CstNode("Module"), Counter()
+            dropped = len(program.source.splitlines())
         return (CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped),
-                DataflowGraph(visitor.edges))
+                DataflowGraph(edges))
     tokens = _java_tokens(lex(program) if lexed is None else lexed)
     return _parse_java(tokens), DataflowGraph(_java_dataflow(tokens))

@@ -10,6 +10,7 @@ import hashlib
 import math
 import operator
 import re
+import sys
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -163,6 +164,13 @@ def embed_text(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
     return _embed(text, text_tokens(text), config)
 
 
+def _power_of_two_scaled(values: Sequence[float]) -> list[float]:
+    """``values`` times the power of two that brings the largest magnitude into
+    [0.5, 1): exact for every entry that stays normal."""
+    shift = -math.frexp(max(map(abs, values), default=0.0))[1]
+    return [math.ldexp(v, shift) for v in values]
+
+
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine similarity clamped to [0, 1].
 
@@ -172,7 +180,14 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dimension != b.dimension:
         raise DimensionMismatch(f"{a.dimension} vs {b.dimension}")
     na, nb = a.norm(), b.norm()
+    dot = sum(map(operator.mul, a.values, b.values))
+    tiny = sys.float_info.min  # the least normal float
+    if min(na, nb) < math.sqrt(tiny) or 0.0 < abs(dot) < tiny:
+        # a squared norm or the dot product is subnormal (or flushed to 0) and
+        # has lost bits; cosine is scale-free, so rescale both vectors exactly
+        av, bv = _power_of_two_scaled(a.values), _power_of_two_scaled(b.values)
+        na, nb = math.sqrt(sum(v * v for v in av)), math.sqrt(sum(v * v for v in bv))
+        dot = sum(map(operator.mul, av, bv))
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine undefined for a zero vector")
-    dot = sum(map(operator.mul, a.values, b.values))
     return min(1.0, max(0.0, dot / (na * nb)))

@@ -301,7 +301,6 @@ program_text = st.one_of(
 @example(source="x = '\ud800'", language=Language.PYTHON)
 @example(source="String s = \"\ud800\";", language=Language.JAVA)
 @settings(max_examples=300, deadline=None)
-@pytest.mark.filterwarnings("ignore::SyntaxWarning")  # ast.parse warns on text like "1if"
 def test_analysis_is_total_and_reads_one_lexing(source, language, local_provider):
     """Any text in either language ends in an analysis or a typed error, and
     the one-lexing analysis equals the public functions, each lexing anew."""

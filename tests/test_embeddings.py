@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from honest.embeddings import (
@@ -107,6 +107,8 @@ class TestCosine:
     @given(st.lists(st.floats(-5, 5), min_size=3, max_size=3),
            st.lists(st.floats(-5, 5), min_size=3, max_size=3),
            st.floats(0.01, 100), st.floats(0.01, 100))
+    @example([0.0, 0.0, -3.882431870938134e-159], [0.0, 1.0, -1.0], 2.0, 1.0)
+    @example([1e-160, 2e-160, 0.0], [3e-160, -1e-160, 5e-161], 3.0, 0.5)  # both tiny
     @settings(max_examples=100, deadline=None)
     def test_positive_scale_invariance(self, a, b, s, t):
         va, vb = EmbeddingVector(tuple(a)), EmbeddingVector(tuple(b))
