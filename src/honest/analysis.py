@@ -58,44 +58,51 @@ class DataflowGraph:
 # Python parsing
 
 
-def _convert_py(node: ast.AST) -> CstNode:
-    children = []
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.expr_context):
-            continue  # Load/Store markers add no structure
-        children.append(_convert_py(child))
-    return CstNode(type(node).__name__, tuple(children))
-
-
-def _ast_parse(text: str) -> ast.Module:
-    """``ast.parse`` without its warnings ("1if" warns), raising RecursionError for
-    all nesting too deep for it: its fixed stack fails with MemoryError."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return ast.parse(text)
-    except MemoryError as exc:
-        raise RecursionError("too deeply nested for ast.parse") from exc
-
-
 def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
-    """Parse Python source, dropping offending lines one at a time until the
+    """Parse Python source, dropping the line each SyntaxError names until the
     rest parses. Returns the module and how many lines were dropped.
 
-    Always ends: once every line is dropped, the empty source parses.
+    Always ends: once every line is dropped, the empty source parses. Nesting
+    too deep for ``ast.parse`` (RecursionError; MemoryError from its fixed stack)
+    or a lone surrogate it cannot encode gives an empty module, every line dropped.
     """
-    try:
-        return _ast_parse(source), 0
-    except SyntaxError:
-        pass
     lines = source.splitlines()
     kept = list(range(len(lines)))
-    while True:
-        try:
-            return _ast_parse("\n".join(lines[i] for i in kept)), len(lines) - len(kept)
-        except SyntaxError as exc:
-            # lineno refers to the trimmed text; map back to the original
-            del kept[min((exc.lineno or 1) - 1, len(kept) - 1)]
+    text = source
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # "1if" warns
+        while True:
+            try:
+                return ast.parse(text), len(lines) - len(kept)
+            except SyntaxError as exc:
+                # lineno indexes ``lines`` in trimmed text and in a source that breaks
+                # lines only where Python does; any other ("\f") is re-read as lines
+                if (text != source
+                        or "\n".join(lines) == source.replace("\r\n", "\n").removesuffix("\n")):
+                    del kept[min((exc.lineno or 1) - 1, len(kept) - 1)]
+                text = "\n".join(lines[i] for i in kept)
+            except (RecursionError, MemoryError, UnicodeEncodeError):
+                return ast.Module([], []), len(lines)
+
+
+def _convert_py(module: ast.Module, dropped: int) -> CstNode:
+    """``module`` as a CstNode, with one ERROR leaf per dropped line after the
+    surviving nodes. A pre-order walk on an explicit stack, then a stack of built
+    nodes: nesting depth is bounded by memory, not by the recursion limit."""
+    walk, stack = [], [module]
+    while stack:
+        node = stack.pop()
+        children = [c for c in ast.iter_child_nodes(node)
+                    if not isinstance(c, ast.expr_context)]  # Load/Store add no structure
+        walk.append((type(node).__name__, len(children)))
+        stack += children  # the last child is walked first
+    built: list[CstNode] = []
+    for kind, count in reversed(walk):
+        # a node's children were built just before it, first child deepest
+        start = len(built) - count
+        built[start:] = [CstNode(kind, tuple(built[start:]))]
+    (root,) = built
+    return CstNode(root.kind, root.children + (CstNode("ERROR"),) * dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -356,15 +363,7 @@ def _cst_and_dataflow(program: Program,
     """``(parse_cst(program), extract_dataflow(program))`` from one parse: Python's
     source (with its error recovery), or Java's ``lexed`` (``lex(program)`` if None)."""
     if program.language is Language.PYTHON:
-        try:
-            module, dropped = _parse_python_ast(program.source)
-            tree, edges = _convert_py(module), _python_dataflow(module)
-        except (RecursionError, UnicodeEncodeError):
-            # too deep for ast or the tree conversion, or a lone surrogate ast
-            # cannot encode: where line-drop recovery ends, every line dropped
-            tree, edges = CstNode("Module"), Counter()
-            dropped = len(program.source.splitlines())
-        return (CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped),
-                DataflowGraph(edges))
+        module, dropped = _parse_python_ast(program.source)
+        return _convert_py(module, dropped), DataflowGraph(_python_dataflow(module))
     tokens = _java_tokens(lex(program) if lexed is None else lexed)
     return _parse_java(tokens), DataflowGraph(_java_dataflow(tokens))

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import _cst_and_dataflow, extract_subtrees
-from .embeddings import EmbeddingProviderConfig, _embed
+from .analysis import DataflowGraph, SubtreeBag, _cst_and_dataflow, extract_subtrees
+from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import rank_auroc
-from .model import Program, SampleSet, lex, token_sequence
+from .model import Program, SampleSet, TokenSequence, lex, token_sequence
 from .similarity import (
     SimilarityBreakdown,
     SimilarityWeights,
@@ -43,10 +43,10 @@ class TuningResult:
 class ProgramAnalysis:
     """Everything the pairwise similarities need, computed once per program."""
 
-    tokens: object
-    subtree_bag: object
-    dataflow: object
-    embedding: object
+    tokens: TokenSequence
+    subtree_bag: SubtreeBag
+    dataflow: DataflowGraph
+    embedding: EmbeddingVector
 
 
 def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> ProgramAnalysis:

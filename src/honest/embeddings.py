@@ -116,7 +116,10 @@ def _state_for(config: EmbeddingProviderConfig) -> _RemoteState:
 
 
 def _read_embedding(reply) -> tuple[float, ...]:
-    return tuple(float(v) for v in reply["data"][0]["embedding"])
+    values = tuple(float(v) for v in reply["data"][0]["embedding"])
+    if not all(map(math.isfinite, values)):
+        raise ValueError("embedding holds a non-finite value")  # json reads NaN, Infinity
+    return values
 
 
 def _remote_embed(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
@@ -182,9 +185,11 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     na, nb = a.norm(), b.norm()
     dot = sum(map(operator.mul, a.values, b.values))
     tiny = sys.float_info.min  # the least normal float
-    if min(na, nb) < math.sqrt(tiny) or 0.0 < abs(dot) < tiny:
+    if (min(na, nb) < math.sqrt(tiny) or 0.0 < abs(dot) < tiny
+            or math.isinf(na * nb) or math.isinf(dot)):
         # a squared norm or the dot product is subnormal (or flushed to 0) and
-        # has lost bits; cosine is scale-free, so rescale both vectors exactly
+        # has lost bits, or is inf; cosine is scale-free, so rescale both
+        # vectors exactly
         av, bv = _power_of_two_scaled(a.values), _power_of_two_scaled(b.values)
         na, nb = math.sqrt(sum(v * v for v in av)), math.sqrt(sum(v * v for v in bv))
         dot = sum(map(operator.mul, av, bv))

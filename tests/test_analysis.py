@@ -1,13 +1,17 @@
 import ast
+import importlib.util
 import random
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_confidence import program_text
 
+from honest import analysis
 from honest.analysis import (
     _JAVA_DECL_KINDS,
     CstNode,
@@ -477,30 +481,107 @@ def _count_kind_iterative(tree, kind):
     return count
 
 
-# Each is too deep at depth: the first for the tree conversion, the next two
-# for ast.parse (RecursionError), the last for ast.parse's stack (MemoryError).
-DEEP_PYTHON = ["x = " + "not " * 2000 + "y", "x = " + "-" * 3000 + "y",
-               "x = " + "a + " * 3000 + "b", "x = " + "-" * 8000 + "y"]
+# Too deep for ast.parse: RecursionError for the first two, MemoryError (its
+# fixed parser stack) for the last.
+DEEP_PYTHON = {"minus": "x = " + "-" * 3000 + "y", "plus": "x = " + "a + " * 3000 + "b",
+               "minus-8000": "x = " + "-" * 8000 + "y"}
+# (source, nesting depth) that ast.parse accepts; the last two nest past the
+# interpreter's recursion limit
+PARSED_DEEP_PYTHON = {"minus-700": ("x = " + "-" * 700 + "y", 700),
+                      "not": ("x = " + "not " * 2000 + "y", 2000),
+                      "minus-1500": ("x = " + "-" * 1500 + "y", 1500)}
 
 
-def test_deep_python_within_the_recursion_limit_keeps_tree_and_edges():
-    program = py("x = " + "-" * 700 + "y")
+@pytest.mark.parametrize("source, depth", PARSED_DEEP_PYTHON.values(),
+                         ids=PARSED_DEEP_PYTHON.keys())
+def test_deep_python_that_ast_parses_keeps_tree_and_edges(source, depth):
+    program = py(source)
     tree = parse_cst(program)
     assert _count_kind_iterative(tree, "ERROR") == 0
-    assert _count_kind_iterative(tree, "UnaryOp") == 700
+    assert _count_kind_iterative(tree, "UnaryOp") == depth
     assert extract_dataflow(program).edges == Counter({("y", "x"): 1})
 
 
-@pytest.mark.parametrize("source", DEEP_PYTHON, ids=["not", "minus", "plus", "minus-8000"])
 class TestDeepPythonNesting:
+    @pytest.mark.parametrize("source", DEEP_PYTHON.values(), ids=DEEP_PYTHON.keys())
     def test_every_line_dropped(self, source):
         program = py(source + "\nz = 1\n")
         error = CstNode("ERROR")
         assert parse_cst(program) == CstNode("Module", (error, error))
         assert extract_dataflow(program).edges == Counter()
 
+    @pytest.mark.parametrize(
+        "source", [*DEEP_PYTHON.values(), *(s for s, _ in PARSED_DEEP_PYTHON.values())],
+        ids=[*DEEP_PYTHON, *PARSED_DEEP_PYTHON])
     def test_ends_in_a_score(self, source, local_provider):
         samples = SampleSet("deep", "", (py(source), py(source), py("x = 1")))
         report = estimate_confidence(samples, SimilarityWeights.uniform(),
                                      local_provider)
         assert 0.0 <= report.confidence <= 1.0
+
+
+def seed_convert_py(node):
+    """The Python tree conversion as first written, recursing once per level."""
+    children = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.expr_context):
+            continue  # Load/Store markers add no structure
+        children.append(seed_convert_py(child))
+    return CstNode(type(node).__name__, tuple(children))
+
+
+def seed_python_cst(source):
+    module, dropped = _parse_python_ast(source)
+    tree = seed_convert_py(module)
+    return CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped)
+
+
+def bench_python_sources():
+    """The benchmark's agreement, diverse and hostile Python sets, seeds 0-2."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    sources = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        sources += gen.agreement_set(rng, 50, gen.python_program)
+        sources += gen.diverse_set(rng, 50, gen.python_program)
+        sources += gen.hostile_python_set(rng, 20)
+    return list(dict.fromkeys(sources))
+
+
+class TestPythonConversionIterative:
+    # ast shares operator nodes such as ast.Add between parents
+    SHARED_OPERATORS = ["x = a + b + c", "y = -a - b", "x = a + b + c\ny = -a - b\ndef f(:\n"]
+
+    def test_same_tree_as_recursive_conversion(self):
+        sources = [*PYTHON_CORPUS, *(s for s, _ in PYTHON_DATAFLOW_ORACLE),
+                   *self.SHARED_OPERATORS, *bench_python_sources()]
+        for source in sources:
+            assert parse_cst(py(source)) == seed_python_cst(source), source
+
+    @given(source=st.one_of(program_text, python_programs))
+    @settings(max_examples=300, deadline=None)
+    def test_same_tree_on_any_text(self, source):
+        assert parse_cst(py(source)) == seed_python_cst(source)
+
+
+@pytest.mark.parametrize("source, drops, parses", [
+    ("a = 1\nb = a\n", 0, 1),
+    ("a = 1\ndef broken(:\nb = a\nx = = 2\nc = a + b\n", 2, 3),
+    # str.splitlines breaks lines at a form feed and Python does not, so the
+    # source is first parsed again as its split lines, then one line dropped
+    ("x = 1\f\ny = = 2\nz = x\n", 1, 3),
+], ids=["clean", "two-bad-lines", "form-feed"])
+def test_parse_count(source, drops, parses, monkeypatch):
+    calls = []
+    parse = analysis.ast.parse
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(analysis.ast, "parse", counting_parse)
+    assert _parse_python_ast(source)[1] == drops
+    assert len(calls) == parses

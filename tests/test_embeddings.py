@@ -96,6 +96,12 @@ class TestCosine:
         with pytest.raises(ZeroVector):
             cosine(EmbeddingVector((0.0, 0.0)), EmbeddingVector((1.0, 0.0)))
 
+    @pytest.mark.parametrize("a, b", [((1e200, 1.0), (1e200, 0.0)),
+                                      ((1e155, 1e155), (1e155, 1e155))],
+                             ids=["one-huge-entry", "self-cosine"])
+    def test_overflowing_norm_is_rescaled(self, a, b):
+        assert cosine(EmbeddingVector(a), EmbeddingVector(b)) == pytest.approx(1.0, abs=1e-12)
+
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_self_similarity_one(self, values):

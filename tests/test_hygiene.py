@@ -129,6 +129,24 @@ def test_only_model_lexes():
     assert set(lexing) == {"model.py"}, f"modules that lex: {lexing}"
 
 
+def _self_calls(tree):
+    """Functions whose body calls the function's own name."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == fn.name for node in ast.walk(fn)):
+            yield fn.name
+
+
+def test_no_function_recurses():
+    """Recursion per nesting level of the input fails on deep programs. Only
+    ``_fingerprint`` may recurse: its depth is the subtree height."""
+    recursive = {f"{p.name}: {name}" for p in sorted(SRC.glob("*.py"))
+                 for name in _self_calls(ast.parse(p.read_text(), filename=str(p)))}
+    unbounded = recursive - {"analysis.py: _fingerprint"}
+    assert not unbounded, f"functions that call themselves: {', '.join(sorted(unbounded))}"
+
+
 def _top_level_imports(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

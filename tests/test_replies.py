@@ -2,6 +2,7 @@
 typed HonestError: a body of the wrong shape counts as a failed attempt, is
 retried, and ends in the endpoint's typed error."""
 import itertools
+import json
 from unittest import mock
 
 import pytest
@@ -129,8 +130,12 @@ def test_any_embedding_reply_ends_in_value_or_honest_error(body):
     (ask, yes_reply(0.5), EndpointError),
     (ask, yes_reply(float("nan")), EndpointError),
     (embed, {"data": [{"embedding": None}]}, ProviderUnavailable),
+    # json reads NaN and Infinity as floats
+    (embed, json.loads('{"data": [{"embedding": [NaN, 1.0]}]}'), ProviderUnavailable),
+    (embed, json.loads('{"data": [{"embedding": [Infinity, 1.0]}]}'), ProviderUnavailable),
 ], ids=["sample-empty-object", "sample-list", "ask-empty-object",
-        "ask-positive-logprob", "ask-nan-logprob", "embed-null-embedding"])
+        "ask-positive-logprob", "ask-nan-logprob", "embed-null-embedding",
+        "embed-nan-value", "embed-infinite-value"])
 def test_malformed_reply_is_retried_then_typed_error(call, body, error):
     with replying(body) as post:
         with pytest.raises(error, match="malformed reply"):
