@@ -62,27 +62,25 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     """Parse Python source, dropping the line each SyntaxError names until the
     rest parses. Returns the module and how many lines were dropped.
 
+    Lines are the ones Python reads: they break only at "\\r\\n", "\\r" and "\\n".
     Always ends: once every line is dropped, the empty source parses. Nesting
     too deep for ``ast.parse`` (RecursionError; MemoryError from its fixed stack)
     or a lone surrogate it cannot encode gives an empty module, every line dropped.
     """
-    lines = source.splitlines()
-    kept = list(range(len(lines)))
-    text = source
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    dropped = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "1if" warns
         while True:
             try:
-                return ast.parse(text), len(lines) - len(kept)
+                return ast.parse("\n".join(lines)), dropped
             except SyntaxError as exc:
-                # lineno indexes ``lines`` in trimmed text and in a source that breaks
-                # lines only where Python does; any other ("\f") is re-read as lines
-                if (text != source
-                        or "\n".join(lines) == source.replace("\r\n", "\n").removesuffix("\n")):
-                    del kept[min((exc.lineno or 1) - 1, len(kept) - 1)]
-                text = "\n".join(lines[i] for i in kept)
+                # a NUL byte fails the whole source and names no line
+                line = exc.lineno or next((i + 1 for i, s in enumerate(lines) if "\0" in s), 1)
+                del lines[min(line, len(lines)) - 1]
+                dropped += 1
             except (RecursionError, MemoryError, UnicodeEncodeError):
-                return ast.Module([], []), len(lines)
+                return ast.Module([], []), dropped + len(lines)
 
 
 def _convert_py(module: ast.Module, dropped: int) -> CstNode:

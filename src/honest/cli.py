@@ -54,7 +54,7 @@ def _load_config_file(path: Optional[str]) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text().split("\n"):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -221,7 +221,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_gate(args) -> int:
     reports: dict[str, list[dict]] = {}
-    for number, raw in enumerate(Path(args.report).read_text().splitlines(), 1):
+    for number, raw in enumerate(Path(args.report).read_text().split("\n"), 1):
         if not raw.strip():
             continue
         try:

@@ -152,6 +152,8 @@ PYTHON_DATAFLOW_ORACLE = [
     ("a, b = b, a\n", {("b", "a"): 1, ("a", "a"): 1, ("b", "b"): 1, ("a", "b"): 1}),
     ("d = {k: v for k, v in items}\n",
      {("k", "d"): 1, ("v", "d"): 1, ("items", "d"): 1, ("items", "k"): 1, ("items", "v"): 1}),
+    # ast.parse names no line for a NUL byte: the line that holds it is dropped
+    ("a = 1\nb = a\nc = b\0\n", {("a", "b"): 1}),
 ]
 
 JAVA_DATAFLOW_ORACLE = [
@@ -570,9 +572,9 @@ class TestPythonConversionIterative:
 @pytest.mark.parametrize("source, drops, parses", [
     ("a = 1\nb = a\n", 0, 1),
     ("a = 1\ndef broken(:\nb = a\nx = = 2\nc = a + b\n", 2, 3),
-    # str.splitlines breaks lines at a form feed and Python does not, so the
-    # source is first parsed again as its split lines, then one line dropped
-    ("x = 1\f\ny = = 2\nz = x\n", 1, 3),
+    # a form feed breaks no line, for Python or for recovery: one failed parse,
+    # one drop, one parse that succeeds
+    ("x = 1\f\ny = = 2\nz = x\n", 1, 2),
 ], ids=["clean", "two-bad-lines", "form-feed"])
 def test_parse_count(source, drops, parses, monkeypatch):
     calls = []
@@ -585,3 +587,41 @@ def test_parse_count(source, drops, parses, monkeypatch):
     monkeypatch.setattr(analysis.ast, "parse", counting_parse)
     assert _parse_python_ast(source)[1] == drops
     assert len(calls) == parses
+
+
+class TestPythonLineBreaks:
+    """Recovery drops the lines Python reads: only "\\r\\n", "\\r" and "\\n" break them."""
+
+    def test_form_feed_in_a_string_costs_no_line(self):
+        source = "s = 'a\fb'\nt = s\nx = = 1\n"
+        tree = parse_cst(py(source))
+        assert _count_kind(tree, "ERROR") == 1
+        assert extract_dataflow(py(source)).edges == Counter({("s", "t"): 1})
+        plain = parse_cst(py(source.replace("a\fb", "ab")))
+        assert extract_subtrees(tree) == extract_subtrees(plain)
+
+    @pytest.mark.parametrize("source", ["a = 1\x85b = 2", "\x1c"],
+                             ids=["next-line", "file-separator"])
+    def test_break_python_does_not_read_is_damage(self, source):
+        assert _count_kind(parse_cst(py(source)), "ERROR") == 1
+
+    @pytest.mark.parametrize("ending", ["\r", "\n"], ids=["cr", "lf"])
+    def test_carriage_return_breaks_a_line_as_newline_does(self, ending):
+        source = f"a = 1{ending}b = = 2{ending}c = a{ending}"
+        assert _parse_python_ast(source)[1] == 1
+        assert extract_dataflow(py(source)).edges == Counter({("a", "c"): 1})
+
+    @given(source=st.one_of(st.sampled_from(PYTHON_CORPUS), python_programs),
+           bad=st.sampled_from(["x = = 1", "def broken(:", "    ) broken = = 0 ("]),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_line_endings_leave_recovery_unchanged(self, source, bad, data):
+        lines = source.split("\n")
+        at = data.draw(st.integers(0, len(lines)))
+        damaged = "\n".join(lines[:at] + [bad] + lines[at:])
+        dropped, tree = _parse_python_ast(damaged)[1], parse_cst(py(damaged))
+        assert dropped >= 1
+        for ending in ("\r\n", "\r"):
+            rewritten = damaged.replace("\n", ending)
+            assert _parse_python_ast(rewritten)[1] == dropped
+            assert parse_cst(py(rewritten)) == tree

@@ -244,6 +244,23 @@ class TestGateCommand:
         code, err = gate(json.dumps(anonymous))
         assert code == 2 and "2 archive entries" in err
 
+    def test_report_line_with_a_raw_line_separator(self, tmp_path, capsys):
+        """U+2028 is no line break in JSON Lines: a model name holding it, as
+        ``json.dumps(..., ensure_ascii=False)`` writes it, stays one report line."""
+        model = "m\u2028x"
+        arch = tmp_path / "arch.jsonl"
+        save_samples([SampleArchiveEntry("t0", model, tuple(
+            ArchivedProgram("x = 1", 1.0) for _ in range(2)))], arch)
+        report = tmp_path / "report.jsonl"
+        report.write_text(json.dumps({"id": "t0", "model": model, "n": 2,
+                                      "confidence": 0.9}, ensure_ascii=False) + "\n")
+        assert "\u2028" in report.read_text()
+        code = main(["gate", "--report", str(report), "--archive", str(arch),
+                     "--id", "t0", "--language", "python", "--threshold", "0.5"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "show"
+
     def test_print_config_prints_and_does_not_gate(self, tmp_path, capsys,
                                                   monkeypatch):
         monkeypatch.setenv("HONEST_ENDPOINT", "http://from-env")

@@ -163,3 +163,18 @@ def test_every_dependency_is_imported():
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
                 for dep in project["dependencies"]}
     assert not declared - imported, f"declared but never imported: {sorted(declared - imported)}"
+
+
+def _splitlines_calls(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "splitlines"):
+            yield node.lineno
+
+
+def test_no_splitlines():
+    """``str.splitlines`` also breaks lines at "\\f", "\\x85", U+2028 and more,
+    where Python source and JSON Lines do not."""
+    calls = [f"{p.name}: line {line}" for p in sorted(SRC.glob("*.py"))
+             for line in _splitlines_calls(ast.parse(p.read_text(), filename=str(p)))]
+    assert not calls, f"splitlines calls: {', '.join(calls)}"
