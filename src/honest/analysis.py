@@ -13,6 +13,7 @@ import ast
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
 
@@ -21,8 +22,7 @@ from .model import Language, Lexed, Program, lex
 DEFAULT_SUBTREE_HEIGHT = 2
 
 
-@dataclass(frozen=True)
-class CstNode:
+class CstNode(NamedTuple):
     kind: str
     children: tuple["CstNode", ...] = ()
 

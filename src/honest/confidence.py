@@ -10,9 +10,10 @@ from typing import Optional, Sequence
 from .analysis import DataflowGraph, SubtreeBag, _cst_and_dataflow, extract_subtrees
 from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed
 from .errors import DegenerateLabels, TooFewSamples
-from .evaluation import rank_auroc
+from .evaluation import mann_whitney_auroc
 from .model import Program, SampleSet, TokenSequence, lex, token_sequence
 from .similarity import (
+    _SUM_TOL,
     SimilarityBreakdown,
     SimilarityWeights,
     sim_dataflow,
@@ -134,8 +135,12 @@ def modality_means(samples: SampleSet,
 
 
 def weight_grid(step: float = GRID_STEP) -> list[SimilarityWeights]:
-    """All non-negative weight 4-tuples on the simplex, in lexicographic order."""
-    units = round(1.0 / step)
+    """All non-negative weight 4-tuples on the simplex, in lexicographic order.
+
+    *step* must divide 1 into a whole number of parts; otherwise ValueError."""
+    units = round(1.0 / step) if step > 0 else 0
+    if not abs(units * step - 1.0) <= _SUM_TOL:
+        raise ValueError(f"grid step {step!r} does not divide 1 into equal parts")
     grid = []
     for a in range(units + 1):
         for b in range(units + 1 - a):
@@ -151,17 +156,25 @@ def tune_weights_from_modality_means(
         step: float = GRID_STEP) -> TuningResult:
     """Exhaustive simplex grid search maximizing training AUROC.
 
-    Ties go to the lexicographically smallest (alpha, beta, gamma, delta).
+    The rows are split by label once; per grid point each row's score is
+    ``m0*a + m1*b + m2*c + m3*d``, the float sequence of a ``sum`` from 0 over
+    non-negative terms, and ``mann_whitney_auroc`` sorts the failed scores once
+    and bisects for each passed one. Its U is an exact half-integer sum, so
+    every AUROC equals a rank-sum AUROC. Ties go to the lexicographically
+    smallest (alpha, beta, gamma, delta).
     """
     if len(set(labels)) < 2:
         raise DegenerateLabels("training data contains a single class")
+    pos = [m for m, label in zip(means, labels) if label]
+    neg = [m for m, label in zip(means, labels) if not label]
     best: Optional[SimilarityWeights] = None
     best_auroc = -1.0
     grid = weight_grid(step)
     for w in grid:
-        wt = w.as_tuple()
-        score = rank_auroc([sum(m * x for m, x in zip(mean, wt)) for mean in means],
-                           labels)
+        a, b, c, d = w.as_tuple()
+        score = mann_whitney_auroc(
+            [m0 * a + m1 * b + m2 * c + m3 * d for m0, m1, m2, m3 in pos],
+            [m0 * a + m1 * b + m2 * c + m3 * d for m0, m1, m2, m3 in neg])
         if score > best_auroc:
             best, best_auroc = w, score
     return TuningResult(weights=best, train_auroc=best_auroc,

@@ -2,6 +2,8 @@
 correct/erroneous-shown threshold sweep."""
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,23 +34,25 @@ class SweepPoint:
 
 
 def rank_auroc(scores: Sequence[float], labels: Sequence[bool]) -> float:
-    """Mann-Whitney AUROC via average ranks over parallel *scores* and
-    *labels* (True = passed); passed/failed score ties count 0.5."""
-    pos = [s for s, label in zip(scores, labels) if label]
-    neg = [s for s, label in zip(scores, labels) if not label]
+    """Mann-Whitney AUROC over parallel *scores* and *labels* (True = passed);
+    passed/failed score ties count 0.5. A NaN score has no rank: ValueError."""
+    if any(math.isnan(s) for s in scores):
+        raise ValueError("AUROC score is NaN")
+    return mann_whitney_auroc([s for s, label in zip(scores, labels) if label],
+                              [s for s, label in zip(scores, labels) if not label])
+
+
+def mann_whitney_auroc(pos: Sequence[float], neg: Sequence[float]) -> float:
+    """AUROC of passed scores *pos* against failed scores *neg*: one sort of
+    the negatives, then per positive a bisection counts the negatives below it
+    and half of those tied with it. U is a sum of half-integers, so it is exact."""
     if not pos or not neg:
         raise SingleClass("AUROC needs both a passed and a failed label")
-    ranked = sorted([(s, 1) for s in pos] + [(s, 0) for s in neg])
-    rank_sum_pos = 0.0  # half-integers throughout, so every sum is exact
-    i = 0
-    while i < len(ranked):
-        j = i
-        while j < len(ranked) and ranked[j][0] == ranked[i][0]:
-            j += 1
-        avg_rank = (i + 1 + j) / 2  # 1-based average over the tie group
-        rank_sum_pos += avg_rank * sum(is_pos for _, is_pos in ranked[i:j])
-        i = j
-    u = rank_sum_pos - len(pos) * (len(pos) + 1) / 2
+    neg = sorted(neg)
+    u = 0.0
+    for s in pos:
+        lo = bisect_left(neg, s)
+        u += lo + (bisect_right(neg, s, lo) - lo) / 2
     return u / (len(pos) * len(neg))
 
 

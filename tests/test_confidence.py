@@ -1,5 +1,7 @@
 import ast
+import itertools
 import json
+import math
 import random
 import time
 
@@ -26,7 +28,7 @@ from honest.confidence import (
 )
 from honest.errors import DegenerateLabels, HonestError, TooFewSamples
 from honest.embeddings import embed
-from honest.evaluation import ScoredSample, auroc
+from honest.evaluation import ScoredSample, auroc, rank_auroc
 from honest.model import Language, Program, SampleSet, lex, tokenize
 from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
 
@@ -117,6 +119,22 @@ class TestWeightGrid:
         grid = [w.as_tuple() for w in weight_grid(0.25)]
         assert grid == sorted(grid)
 
+    @pytest.mark.parametrize("step, units", [(0.05, 20), (0.1, 10), (0.25, 4)])
+    def test_grid_is_every_whole_split(self, step, units):
+        splits = sorted(parts for parts in itertools.product(range(units + 1), repeat=4)
+                        if sum(parts) == units)
+        assert [w.as_tuple() for w in weight_grid(step)] == [
+            tuple(k * step for k in parts) for parts in splits]
+
+    @pytest.mark.parametrize("step", [0, 0.0, -0.1, 0.3, 0.07, 2.0, math.inf, math.nan])
+    def test_step_that_does_not_divide_one_raises(self, step):
+        with pytest.raises(ValueError, match=f"grid step {step!r} "):
+            weight_grid(step)
+
+    def test_tuning_with_a_bad_step_raises(self):
+        with pytest.raises(ValueError, match="grid step -0.1 "):
+            tune_weights_from_modality_means([(0.5,) * 4, (0.6,) * 4], [True, False], -0.1)
+
 
 def _separating_means(rng, axis, n_per_class=25):
     """Synthetic modality means: one axis separates, the rest are noise."""
@@ -204,6 +222,23 @@ class TestTuneWeights:
             if wins / (len(pos) * len(neg)) > best_auroc:
                 best, best_auroc = w, wins / (len(pos) * len(neg))
         result = tune_weights_from_modality_means(means, labels, step)
+        assert (result.weights, result.train_auroc) == (best, best_auroc)
+
+    def test_equals_per_point_loop_on_240_tied_rows(self):
+        # 240 rows drawn from 12 two-decimal rows tie many scores within a
+        # point and many AUROCs across points, five of them at the maximum,
+        # beyond the 24 rows the property draws
+        rng = random.Random(240)
+        rows = [tuple(round(rng.random(), 2) for _ in range(4)) for _ in range(12)]
+        means = [rng.choice(rows) for _ in range(240)]
+        labels = [rng.random() < 0.45 for _ in range(240)]
+        best, best_auroc = None, -1.0
+        for w in weight_grid():
+            score = rank_auroc([sum(m * x for m, x in zip(mean, w.as_tuple()))
+                                for mean in means], labels)
+            if score > best_auroc:
+                best, best_auroc = w, score
+        result = tune_weights_from_modality_means(means, labels)
         assert (result.weights, result.train_auroc) == (best, best_auroc)
 
     def test_weights_round_trip(self, tmp_path):

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from honest.errors import MissingProgramCounts, NoPositives, SingleClass
-from honest.evaluation import ScoredSample, aucpr, auroc, threshold_sweep
+from honest.evaluation import ScoredSample, aucpr, auroc, rank_auroc, threshold_sweep
 
 
 def scored(pairs, counts=None):
@@ -29,6 +31,24 @@ def pairwise_auroc(samples):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def average_rank_auroc(scores, labels):
+    """The average-rank Mann-Whitney AUROC: sort all scores, give each tie
+    group its mean 1-based rank, and sum the positives' ranks."""
+    pos = [s for s, label in zip(scores, labels) if label]
+    neg = [s for s, label in zip(scores, labels) if not label]
+    ranked = sorted([(s, 1) for s in pos] + [(s, 0) for s in neg])
+    rank_sum_pos = 0.0
+    i = 0
+    while i < len(ranked):
+        j = i
+        while j < len(ranked) and ranked[j][0] == ranked[i][0]:
+            j += 1
+        rank_sum_pos += (i + 1 + j) / 2 * sum(is_pos for _, is_pos in ranked[i:j])
+        i = j
+    u = rank_sum_pos - len(pos) * (len(pos) + 1) / 2
+    return u / (len(pos) * len(neg))
 
 
 def prefix_cut_aucpr(samples):
@@ -91,6 +111,26 @@ class TestAuroc:
         squashed = [ScoredSample(id=s.id, score=math.tanh(3 * s.score), label=s.label)
                     for s in samples]
         assert auroc(samples) == pytest.approx(auroc(squashed), abs=1e-12)
+
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_average_rank_loop(self, data):
+        # a small pool with repeats, signed zeros and ints forces tie groups
+        pool = data.draw(st.lists(st.sampled_from([0.0, -0.0, 0, 1, 0.5, 0.25, 1e-300])
+                                  | st.floats(-2, 2), min_size=1, max_size=5))
+        scores = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=80))
+        labels = data.draw(st.lists(st.booleans(), min_size=len(scores),
+                                    max_size=len(scores)))
+        labels[0], labels[1] = True, False
+        assert rank_auroc(scores, labels) == average_rank_auroc(scores, labels)
+
+    @pytest.mark.parametrize("nan_at", [0, 1, 2])
+    def test_nan_score_raises(self, nan_at):
+        scores = [0.2, 0.7, 0.5]
+        scores[nan_at] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            rank_auroc(scores, [True, False, True])
 
 
 class TestAucpr:
