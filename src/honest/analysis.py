@@ -13,6 +13,7 @@ import ast
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
@@ -37,6 +38,12 @@ class SubtreeBag:
     entries: Counter
 
     def __len__(self) -> int:
+        return self.size
+
+    @cached_property
+    def size(self) -> int:
+        """Total count, summed once: not a field, so equality and hashing see
+        only the entries."""
         return sum(self.entries.values())
 
 
@@ -51,6 +58,12 @@ class DataflowGraph:
     edges: Counter
 
     def __len__(self) -> int:
+        return self.size
+
+    @cached_property
+    def size(self) -> int:
+        """Total count, summed once: not a field, so equality and hashing see
+        only the edges."""
         return sum(self.edges.values())
 
 

@@ -16,7 +16,7 @@ from .client import (
     ask_yes_no,
 )
 from .embeddings import (EmbeddingProviderConfig, EmbeddingVector, cosine, embed_text,
-                         text_tokens)
+                         prefetch, text_tokens)
 from .errors import EmptyCorpus, EmptyInput, MissingLogprobs, SingleClass, UnknownDocument
 from .evaluation import rank_auroc
 from .model import Program
@@ -128,6 +128,7 @@ class EmbeddingCorpus:
     @classmethod
     def build(cls, requirements: Sequence[str], labels: Sequence[bool],
               provider: EmbeddingProviderConfig) -> "EmbeddingCorpus":
+        prefetch(requirements, provider)
         return cls(vectors=[embed_text(r, provider) for r in requirements],
                    labels=list(labels), provider=provider)
 

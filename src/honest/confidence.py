@@ -3,12 +3,13 @@ plus exhaustive-grid weight tuning on labeled training data."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import DataflowGraph, SubtreeBag, _cst_and_dataflow, extract_subtrees
-from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed
+from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed, prefetch
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import mann_whitney_auroc
 from .model import Program, SampleSet, TokenSequence, lex, token_sequence
@@ -16,11 +17,12 @@ from .similarity import (
     _SUM_TOL,
     SimilarityBreakdown,
     SimilarityWeights,
-    sim_dataflow,
+    _overlap,
+    clipped_ratio,
     sim_embed,
     sim_hybrid,
-    sim_syntax,
-    sim_text,
+    text_overlaps,
+    text_ratio,
 )
 
 GRID_STEP = 0.05
@@ -59,16 +61,40 @@ def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> Prog
         tokens=tokens,
         subtree_bag=extract_subtrees(tree),
         dataflow=dataflow,
-        embedding=_embed(program.source, tokens.tokens, provider),
+        embedding=_embed(program.source, lambda: tokens.tokens, provider),
     )
+
+
+# The symmetric terms of the last pair, (a_i, a_j, terms), kept for the
+# reverse call that _pairs makes right after it. The analyses are matched by
+# identity and held, so no other analysis can take their place; a call from
+# another thread in between only makes the reverse call miss.
+_last_terms: Optional[tuple] = None
+
+
+def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
+    """The n-gram, subtree and edge overlaps and the cosine of a pair: the same
+    for both orders, so the pair's reverse right after reuses them."""
+    global _last_terms
+    slot = _last_terms
+    if slot is not None and slot[0] is a_j and slot[1] is a_i:
+        _last_terms = None
+        return slot[2]
+    terms = (text_overlaps(a_i.tokens, a_j.tokens),
+             _overlap(a_i.subtree_bag.entries, a_j.subtree_bag.entries),
+             _overlap(a_i.dataflow.edges, a_j.dataflow.edges),
+             sim_embed(a_i.embedding, a_j.embedding))
+    _last_terms = (a_i, a_j, terms)
+    return terms
 
 
 def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,
                    weights: SimilarityWeights) -> SimilarityBreakdown:
-    text = sim_text(a_i.tokens, a_j.tokens)
-    syntax = sim_syntax(a_i.subtree_bag, a_j.subtree_bag)
-    dataflow = sim_dataflow(a_i.dataflow, a_j.dataflow)
-    embedding = sim_embed(a_i.embedding, a_j.embedding)
+    """The four similarities of program i to program j, and their hybrid."""
+    ngrams, subtrees, edges, embedding = _symmetric_terms(a_i, a_j)
+    text = text_ratio(ngrams, len(a_i.tokens), len(a_j.tokens))
+    syntax = clipped_ratio(subtrees, a_i.subtree_bag.size, a_j.subtree_bag.size)
+    dataflow = clipped_ratio(edges, a_i.dataflow.size, a_j.dataflow.size)
     hybrid = sim_hybrid(text, syntax, dataflow, embedding, weights)
     return SimilarityBreakdown(i, j, text, syntax, dataflow, embedding, hybrid)
 
@@ -84,29 +110,31 @@ def _pairs(samples: SampleSet, weights: SimilarityWeights,
 
     The analysis reads only a program's source and the set's one language,
     so identical sources are analysed once, at the index where the source
-    first appears, and each distinct ordered pair of those first indices is
-    compared once. Copies share that one breakdown, so its ``i`` and ``j``
-    are the first indices, not the pair's own.
+    first appears; a remote provider embeds them all in one request first.
+    Each distinct ordered pair of those first indices is compared once, the
+    two orders of a pair one right after the other, so the second reuses the
+    first's symmetric terms. Copies share that one breakdown, so its ``i``
+    and ``j`` are the first indices, not the pair's own.
     """
     n = len(samples)
     if n < 2:
         raise TooFewSamples(f"need at least 2 programs, got {n}")
     first: dict[str, int] = {}
     keys = [first.setdefault(p.source, k) for k, p in enumerate(samples.programs)]
+    prefetch(list(first), provider)
     analyses = {k: analyze_program(samples.programs[k], provider)
                 for k in first.values()}
+    distinct = list(analyses)
     memo: dict[tuple[int, int], SimilarityBreakdown] = {}
-    pairs = []
-    for i, ki in enumerate(keys):
-        for j, kj in enumerate(keys):
-            if i == j:
-                continue
-            bd = memo.get((ki, kj))
-            if bd is None:
-                bd = memo[ki, kj] = pair_breakdown(ki, kj, analyses[ki], analyses[kj],
-                                                   weights)
-            pairs.append(bd)
-    return pairs
+    for x, ki in enumerate(distinct):
+        for kj in distinct[x + 1:]:
+            memo[ki, kj] = pair_breakdown(ki, kj, analyses[ki], analyses[kj], weights)
+            memo[kj, ki] = pair_breakdown(kj, ki, analyses[kj], analyses[ki], weights)
+    for k, copies in Counter(keys).items():
+        if copies > 1:
+            memo[k, k] = pair_breakdown(k, k, analyses[k], analyses[k], weights)
+    return [memo[ki, kj] for i, ki in enumerate(keys)
+            for j, kj in enumerate(keys) if i != j]
 
 
 def estimate_confidence(samples: SampleSet, weights: SimilarityWeights,

@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .client import _post_json
 from .errors import (
@@ -115,46 +115,61 @@ def _state_for(config: EmbeddingProviderConfig) -> _RemoteState:
         return _remote_states[key]
 
 
-def _read_embedding(reply) -> tuple[float, ...]:
-    values = tuple(float(v) for v in reply["data"][0]["embedding"])
-    if not all(map(math.isfinite, values)):
-        raise ValueError("embedding holds a non-finite value")  # json reads NaN, Infinity
-    return values
+def _embeddings_reader(count: int) -> Callable[[Any], list[tuple[float, ...]]]:
+    """A reply reader that takes exactly *count* finite vectors, in input order."""
+    def read(reply) -> list[tuple[float, ...]]:
+        data = reply["data"]
+        if len(data) != count:
+            raise ValueError(f"{len(data)} embeddings for {count} inputs")
+        rows = [tuple(float(v) for v in item["embedding"]) for item in data]
+        if not all(math.isfinite(v) for values in rows for v in values):
+            raise ValueError("embedding holds a non-finite value")  # json reads NaN, Infinity
+        return rows
+    return read
 
 
-def _remote_embed(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
+def _remote_embed(texts: Sequence[str], config: EmbeddingProviderConfig) -> list[EmbeddingVector]:
+    """The vectors of *texts*, in order. The distinct texts the per-config
+    cache lacks go out in one request."""
     state = _state_for(config)
     with state.lock:
-        cached = state.cache.get(text)
-    if cached is not None:
-        return cached
+        found = {t: state.cache[t] for t in texts if t in state.cache}
+    missing = [t for t in dict.fromkeys(texts) if t not in found]
+    if missing:
+        with state.semaphore:
+            rows = _post_json(
+                config.endpoint.rstrip("/") + "/embeddings",
+                {"model": config.model_name, "input": missing},
+                _embeddings_reader(len(missing)), ProviderUnavailable,
+                retries=config.retries, backoff=config.backoff, timeout=60)
+        if any(all(v == 0.0 for v in values) for values in rows):
+            raise DegenerateEmbedding("endpoint returned an all-zero vector")
+        fresh = {t: EmbeddingVector(values) for t, values in zip(missing, rows)}
+        with state.lock:
+            state.cache.update(fresh)
+        found.update(fresh)
+    return [found[t] for t in texts]
 
-    with state.semaphore:
-        values = _post_json(
-            config.endpoint.rstrip("/") + "/embeddings",
-            {"model": config.model_name, "input": [text]},
-            _read_embedding, ProviderUnavailable,
-            retries=config.retries, backoff=config.backoff, timeout=60)
 
-    if all(v == 0.0 for v in values):
-        raise DegenerateEmbedding("endpoint returned an all-zero vector")
-    vector = EmbeddingVector(values)
-    with state.lock:
-        state.cache[text] = vector
-    return vector
+def prefetch(texts: Sequence[str], config: EmbeddingProviderConfig) -> None:
+    """Embed *texts* into the remote cache that ``_embed`` reads, in one
+    request; the local provider keeps no cache, so for it this does nothing."""
+    if config.kind is ProviderKind.REMOTE:
+        _remote_embed(texts, config)
 
 
-def _embed(text: str, features: Sequence[str],
+def _embed(text: str, features: Callable[[], Sequence[str]],
            config: EmbeddingProviderConfig) -> EmbeddingVector:
-    """The one provider switch: hash *features* locally, or send *text* remote."""
+    """The one provider switch: hash ``features()`` locally, or send *text*
+    remote; *features* is only called for the local provider."""
     if config.kind is ProviderKind.LOCAL_HASHED:
-        return _hashed_vector(features, config.dimension)
-    return _remote_embed(text, config)
+        return _hashed_vector(features(), config.dimension)
+    return _remote_embed([text], config)[0]
 
 
 def embed(program: Program, config: EmbeddingProviderConfig) -> EmbeddingVector:
     """Embed a program's source; the local provider hashes its lexical tokens."""
-    return _embed(program.source, tokenize(program).tokens, config)
+    return _embed(program.source, lambda: tokenize(program).tokens, config)
 
 
 def text_tokens(text: str) -> list[str]:
@@ -164,7 +179,7 @@ def text_tokens(text: str) -> list[str]:
 
 def embed_text(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
     """Embed plain text (requirements); the local provider hashes word tokens."""
-    return _embed(text, text_tokens(text), config)
+    return _embed(text, lambda: text_tokens(text), config)
 
 
 def _power_of_two_scaled(values: Sequence[float]) -> list[float]:

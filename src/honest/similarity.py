@@ -2,18 +2,23 @@
 
 All four scores live in [0, 1]. Text, syntax, and dataflow similarity are
 asymmetric by construction: the denominator always counts the second
-argument's n-grams / subtrees / edges.
+argument's n-grams / subtrees / edges. Their numerators, the clipped
+overlaps, are symmetric, and so is the cosine. So each of those three
+modalities is a symmetric overlap (``text_overlaps``, ``_overlap``) and an
+ordered ratio step (``text_ratio``, ``clipped_ratio``) that takes the
+overlap and both sizes; the overlaps of a pair serve both of its orders.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 from .analysis import DataflowGraph, SubtreeBag
 from .embeddings import EmbeddingVector, cosine
 from .errors import ComponentOutOfRange
-from .model import MAX_NGRAM_ORDER, TokenSequence
+from .model import TokenSequence
 
 _SUM_TOL = 1e-9
 
@@ -67,42 +72,63 @@ def _overlap(counts_i: Counter, counts_j: Counter) -> int:
     return total
 
 
-def sim_text(seq_i: TokenSequence, seq_j: TokenSequence) -> float:
-    """Geometric-mean n-gram overlap ratio (orders 1..4), clipped counts.
+def text_overlaps(seq_i: TokenSequence, seq_j: TokenSequence) -> tuple[int, ...]:
+    """Clipped n-gram overlaps for orders 1, 2, ... of ``TokenSequence.ngrams``;
+    symmetric.
+
+    Stops after the first zero: an (n+1)-gram shared by both sequences starts
+    with a shared n-gram, so every higher order overlaps by zero too.
+    """
+    overlaps = []
+    for ci, cj in zip(seq_i.ngrams, seq_j.ngrams):
+        overlaps.append(_overlap(ci, cj))
+        if overlaps[-1] == 0:
+            break
+    return tuple(overlaps)
+
+
+def text_ratio(overlaps: Sequence[int], size_i: int, size_j: int) -> float:
+    """Geometric-mean n-gram overlap ratio (orders 1..4), clipped counts, from
+    ``text_overlaps`` and the lengths of seq_i and seq_j.
 
     Orders where seq_j has no n-grams are excluded and the remaining log
     weights renormalized; a single included order with zero overlap forces
     0. Two empty sequences score 1.
     """
     logs = []
-    for n, ci, cj in zip(range(1, MAX_NGRAM_ORDER + 1), seq_i.ngrams, seq_j.ngrams):
-        total_j = len(seq_j) - n + 1
+    for n, overlap in enumerate(overlaps, 1):
+        total_j = size_j - n + 1
         if total_j <= 0:
-            continue
-        overlap = _overlap(ci, cj)
+            break  # and so for every higher order
         if overlap == 0:
             return 0.0
         logs.append(math.log(overlap / total_j))
     if not logs:
-        return 1.0 if len(seq_i) == 0 else 0.0
+        return 1.0 if size_i == 0 else 0.0
     return min(1.0, math.exp(sum(logs) / len(logs)))
 
 
-def _clipped_ratio(counts_i: Counter, counts_j: Counter) -> float:
-    total_j = sum(counts_j.values())
-    if total_j == 0:
-        return 1.0 if sum(counts_i.values()) == 0 else 0.0
-    return _overlap(counts_i, counts_j) / total_j
+def sim_text(seq_i: TokenSequence, seq_j: TokenSequence) -> float:
+    """``text_ratio`` of the two sequences, over seq_j's n-gram counts."""
+    return text_ratio(text_overlaps(seq_i, seq_j), len(seq_i), len(seq_j))
+
+
+def clipped_ratio(overlap: int, size_i: int, size_j: int) -> float:
+    """A clipped multiset overlap over the second multiset's size; two empty
+    multisets score 1."""
+    if size_j == 0:
+        return 1.0 if size_i == 0 else 0.0
+    return overlap / size_j
 
 
 def sim_syntax(bag_i: SubtreeBag, bag_j: SubtreeBag) -> float:
     """Clipped-multiset subtree overlap over bag_j's size."""
-    return _clipped_ratio(bag_i.entries, bag_j.entries)
+    return clipped_ratio(_overlap(bag_i.entries, bag_j.entries), bag_i.size, bag_j.size)
 
 
 def sim_dataflow(dfg_i: DataflowGraph, dfg_j: DataflowGraph) -> float:
     """Clipped-multiset def-use edge overlap over dfg_j's size."""
-    return _clipped_ratio(dfg_i.edges, dfg_j.edges)
+    return clipped_ratio(_overlap(dfg_i.edges, dfg_j.edges), dfg_i.size, dfg_j.size)
 
 
 def sim_embed(e_i: EmbeddingVector, e_j: EmbeddingVector) -> float:

@@ -9,6 +9,8 @@ Behavior is steered by markers embedded in the prompt text:
   ONLYZERO   -> empty completion unless temperature == 0.0
 Judge prompts (containing "Answer with exactly one word") get a fixed
 Yes/No top-logprobs distribution, overridable via server.judge_alternatives.
+Embedding requests get one vector per ``input`` item, in order; a text that
+starts with FIXEDVEC gets (0.6, 0.8). server.embedding_requests counts them.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ class MockLLMServer:
         self.delay = delay
         self.judge_alternatives = [("Yes", math.log(0.7)), ("No", math.log(0.2))]
         self.request_count = 0
+        self.embedding_requests = 0
         self.max_in_flight = 0
         self._in_flight = 0
         self._lock = threading.Lock()
@@ -47,6 +50,7 @@ class MockLLMServer:
                 body = json.loads(self.rfile.read(length))
                 with outer._lock:
                     outer.request_count += 1
+                    outer.embedding_requests += self.path.endswith("/embeddings")
                     outer._in_flight += 1
                     outer.max_in_flight = max(outer.max_in_flight, outer._in_flight)
                 try:
@@ -81,13 +85,14 @@ class MockLLMServer:
     # --- endpoint behaviors -------------------------------------------------
 
     def _embeddings(self, body) -> tuple[int, dict]:
-        text = body["input"][0]
+        return 200, {"data": [{"embedding": self._vector(text)} for text in body["input"]]}
+
+    @staticmethod
+    def _vector(text: str) -> list[float]:
         if text.startswith("FIXEDVEC"):
-            vec = [0.6, 0.8]
-        else:
-            h = _stable_hash(text)
-            vec = [((h >> (8 * i)) & 0xFF) / 255.0 + 0.01 for i in range(8)]
-        return 200, {"data": [{"embedding": vec}]}
+            return [0.6, 0.8]
+        h = _stable_hash(text)
+        return [((h >> (8 * i)) & 0xFF) / 255.0 + 0.01 for i in range(8)]
 
     def _chat(self, body) -> tuple[int, dict]:
         content = body["messages"][0]["content"]

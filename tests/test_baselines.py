@@ -182,6 +182,18 @@ class TestKnn:
         assert knn_confidence(self.REQS[0], corpus, config) == 1.0
         assert knn_confidence(self.REQS[2], corpus, config) == 0.0
 
+    def test_remote_embedding_corpus_in_one_request(self, mock_server):
+        def remote(model):
+            return EmbeddingProviderConfig(kind=ProviderKind.REMOTE,
+                                           endpoint=mock_server.endpoint, model_name=model)
+
+        reqs = self.REQS + [self.REQS[0]]
+        before = mock_server.embedding_requests
+        corpus = EmbeddingCorpus.build(reqs, self.LABELS + [True], remote("corpus-batch"))
+        assert mock_server.embedding_requests - before == 1
+        assert corpus.vectors == [embed_text(r, remote("corpus-one-by-one")) for r in reqs]
+        assert mock_server.embedding_requests - before == 1 + len(self.REQS)
+
     def test_tune_k_smallest_on_ties(self):
         index = Bm25Index.build(self.REQS, self.LABELS)
         k = tune_k(self.REQS, self.LABELS, index, sweep=(1, 3))

@@ -3,7 +3,10 @@ import itertools
 import json
 import math
 import random
+import sys
+import threading
 import time
+from collections import Counter
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from pygments.lexers import JavaLexer
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
 
-from honest import confidence, model
+from honest import confidence, model, similarity
 from honest.analysis import _java_tokens, extract_dataflow, extract_subtrees, parse_cst
 from honest.confidence import (
     estimate_confidence,
@@ -27,7 +30,7 @@ from honest.confidence import (
     analyze_program,
 )
 from honest.errors import DegenerateLabels, HonestError, TooFewSamples
-from honest.embeddings import embed
+from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed
 from honest.evaluation import ScoredSample, auroc, rank_auroc
 from honest.model import Language, Program, SampleSet, lex, tokenize
 from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
@@ -452,3 +455,113 @@ class TestDistinctPrograms:
             assert report.confidence == want
         assert modality_means(samples, local_provider) == seed_modality_means(
             samples, local_provider)
+
+
+class TestPairStage:
+    """Each unordered pair of distinct sources has its symmetric terms (the
+    n-gram, subtree and edge overlaps and the cosine) computed once."""
+
+    @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS[:8]),
+                                                 (Language.JAVA, JAVA_CORPUS)],
+                             ids=["python", "java"])
+    def test_terms_once_per_unordered_pair(self, language, corpus, local_provider,
+                                           monkeypatch):
+        analyses = []
+        real_analyze = confidence.analyze_program
+
+        def analyze(program, provider):
+            analyses.append(real_analyze(program, provider))
+            return analyses[-1]
+
+        calls = []
+
+        def counted(name, real):
+            def call(*args):
+                calls.append((name, args[0]))
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(confidence, "analyze_program", analyze)
+        monkeypatch.setattr(confidence, "text_overlaps",
+                            counted("text", confidence.text_overlaps))
+        monkeypatch.setattr(similarity, "_overlap", counted("ngrams", similarity._overlap))
+        monkeypatch.setattr(confidence, "_overlap", counted("multiset", confidence._overlap))
+        monkeypatch.setattr(similarity, "cosine", counted("cosine", similarity.cosine))
+        samples = SampleSet("req-1", "a requirement",
+                            tuple(Program(s, language) for s in corpus))
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+
+        pairs = len(corpus) * (len(corpus) - 1) // 2
+        bags = {id(a.subtree_bag.entries) for a in analyses}
+        edges = {id(a.dataflow.edges) for a in analyses}
+        kinds = Counter(name for name, _ in calls)
+        assert kinds["text"] == kinds["cosine"] == pairs
+        assert sum(1 for name, first in calls if name == "multiset" and id(first) in bags) == pairs
+        assert sum(1 for name, first in calls if name == "multiset" and id(first) in edges) == pairs
+        assert kinds["multiset"] == 2 * pairs
+        assert pairs <= kinds["ngrams"] <= 4 * pairs
+
+    def test_reverse_call_reuses_terms_and_equals_fresh_formulas(self, local_provider,
+                                                                 monkeypatch):
+        a, b = (analyze_program(py(s), local_provider) for s in PYTHON_CORPUS[:2])
+        weights = SimilarityWeights.uniform()
+        fresh = []
+        real = confidence.text_overlaps
+
+        def counted(seq_i, seq_j):
+            fresh.append((seq_i, seq_j))
+            return real(seq_i, seq_j)
+
+        monkeypatch.setattr(confidence, "text_overlaps", counted)
+        # the second call reuses the first's terms and clears the slot, so
+        # the third computes its own
+        for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 0, a, a)):
+            bd = pair_breakdown(i, j, a_i, a_j, weights)
+            assert (bd.text, bd.syntax, bd.dataflow, bd.embedding) == (
+                sim_text(a_i.tokens, a_j.tokens),
+                sim_syntax(a_i.subtree_bag, a_j.subtree_bag),
+                sim_dataflow(a_i.dataflow, a_j.dataflow),
+                sim_embed(a_i.embedding, a_j.embedding))
+        assert fresh == [(a.tokens, b.tokens), (b.tokens, a.tokens), (a.tokens, a.tokens)]
+
+    def test_threads_equal_serial_runs(self, local_provider):
+        """Threads share the one-slot memo of the last pair's terms; one that
+        finds another thread's pair there must miss, never reuse it."""
+        sets = [sample_set(PYTHON_CORPUS[k:k + 5], rid=f"py-{k}") for k in (0, 5, 10, 15)]
+        sets.append(SampleSet("java", "a requirement",
+                              tuple(Program(s, Language.JAVA) for s in JAVA_CORPUS)))
+        weights = SimilarityWeights(0.4, 0.3, 0.2, 0.1)
+        serial = [(estimate_confidence(s, weights, local_provider),
+                   modality_means(s, local_provider)) for s in sets]
+        results = {}
+
+        def run(t):
+            order = sets[t:] + sets[:t]
+            results[t] = [(estimate_confidence(s, weights, local_provider),
+                           modality_means(s, local_provider)) for s in order * 2]
+
+        threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(4):
+            assert results[t] == (serial[t:] + serial[:t]) * 2
+
+    def test_remote_set_in_one_embeddings_request(self, mock_server):
+        provider = EmbeddingProviderConfig(kind=ProviderKind.REMOTE,
+                                           endpoint=mock_server.endpoint,
+                                           model_name="one-request-per-set")
+        samples = sample_set(PYTHON_CORPUS[:6] + PYTHON_CORPUS[:2])
+        weights = SimilarityWeights.uniform()
+        before = mock_server.embedding_requests
+        first = estimate_confidence(samples, weights, provider)
+        assert mock_server.embedding_requests - before == 1
+        assert estimate_confidence(samples, weights, provider) == first
+        assert mock_server.embedding_requests - before == 1

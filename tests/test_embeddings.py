@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from honest import embeddings
 from honest.embeddings import (
     EmbeddingProviderConfig,
     EmbeddingVector,
@@ -58,6 +59,16 @@ class TestRemote:
                                          model_name="mock-embed")
         v = embed(py("FIXEDVEC"), config)
         assert v.values == (0.6, 0.8)
+
+    def test_remote_embed_does_not_lex(self, mock_server, monkeypatch):
+        def no_lexing(program):
+            raise AssertionError("the remote provider never reads the tokens")
+
+        monkeypatch.setattr(embeddings, "tokenize", no_lexing)
+        config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE,
+                                         endpoint=mock_server.endpoint,
+                                         model_name="mock-embed")
+        assert embed(py("FIXEDVEC = 1"), config).values == (0.6, 0.8)
 
     def test_unreachable_endpoint(self):
         config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE,

@@ -133,9 +133,10 @@ def test_any_embedding_reply_ends_in_value_or_honest_error(body):
     # json reads NaN and Infinity as floats
     (embed, json.loads('{"data": [{"embedding": [NaN, 1.0]}]}'), ProviderUnavailable),
     (embed, json.loads('{"data": [{"embedding": [Infinity, 1.0]}]}'), ProviderUnavailable),
+    (embed, {"data": [{"embedding": [0.6, 0.8]}] * 2}, ProviderUnavailable),
 ], ids=["sample-empty-object", "sample-list", "ask-empty-object",
         "ask-positive-logprob", "ask-nan-logprob", "embed-null-embedding",
-        "embed-nan-value", "embed-infinite-value"])
+        "embed-nan-value", "embed-infinite-value", "embed-two-vectors-for-one-input"])
 def test_malformed_reply_is_retried_then_typed_error(call, body, error):
     with replying(body) as post:
         with pytest.raises(error, match="malformed reply"):
