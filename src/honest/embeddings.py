@@ -28,6 +28,12 @@ from .model import Program, tokenize
 
 _HASH_SEED = b"honest-localhashed-v1"  # fixed: vectors must be reproducible
 
+# Inputs per /embeddings request. Hugging Face text-embeddings-inference
+# rejects more than --max-client-batch-size inputs (default 32). OpenAI caps
+# a request at 2048 inputs and 300,000 tokens summed over them; 32 inputs at
+# its 8192-token limit per input stay under both.
+_INPUTS_PER_REQUEST = 32
+
 
 class ProviderKind(Enum):
     REMOTE = "remote"
@@ -116,11 +122,17 @@ def _state_for(config: EmbeddingProviderConfig) -> _RemoteState:
 
 
 def _embeddings_reader(count: int) -> Callable[[Any], list[tuple[float, ...]]]:
-    """A reply reader that takes exactly *count* finite vectors, in input order."""
+    """A reply reader that takes exactly *count* finite vectors, in input
+    order: by each item's ``index`` where the items carry one, as OpenAI's
+    do, else by position."""
     def read(reply) -> list[tuple[float, ...]]:
         data = reply["data"]
         if len(data) != count:
             raise ValueError(f"{len(data)} embeddings for {count} inputs")
+        if any("index" in item for item in data):
+            if sorted(item["index"] for item in data) != list(range(count)):
+                raise ValueError(f"embedding indices are not 0..{count - 1} once each")
+            data = sorted(data, key=operator.itemgetter("index"))
         rows = [tuple(float(v) for v in item["embedding"]) for item in data]
         if not all(math.isfinite(v) for values in rows for v in values):
             raise ValueError("embedding holds a non-finite value")  # json reads NaN, Infinity
@@ -130,21 +142,24 @@ def _embeddings_reader(count: int) -> Callable[[Any], list[tuple[float, ...]]]:
 
 def _remote_embed(texts: Sequence[str], config: EmbeddingProviderConfig) -> list[EmbeddingVector]:
     """The vectors of *texts*, in order. The distinct texts the per-config
-    cache lacks go out in one request."""
+    cache lacks go out as list inputs, ``_INPUTS_PER_REQUEST`` to a request;
+    each reply is cached before the next request, so a failed request loses
+    only its own texts."""
     state = _state_for(config)
     with state.lock:
         found = {t: state.cache[t] for t in texts if t in state.cache}
     missing = [t for t in dict.fromkeys(texts) if t not in found]
-    if missing:
+    for start in range(0, len(missing), _INPUTS_PER_REQUEST):
+        chunk = missing[start:start + _INPUTS_PER_REQUEST]
         with state.semaphore:
             rows = _post_json(
                 config.endpoint.rstrip("/") + "/embeddings",
-                {"model": config.model_name, "input": missing},
-                _embeddings_reader(len(missing)), ProviderUnavailable,
+                {"model": config.model_name, "input": chunk},
+                _embeddings_reader(len(chunk)), ProviderUnavailable,
                 retries=config.retries, backoff=config.backoff, timeout=60)
         if any(all(v == 0.0 for v in values) for values in rows):
             raise DegenerateEmbedding("endpoint returned an all-zero vector")
-        fresh = {t: EmbeddingVector(values) for t, values in zip(missing, rows)}
+        fresh = {t: EmbeddingVector(values) for t, values in zip(chunk, rows)}
         with state.lock:
             state.cache.update(fresh)
         found.update(fresh)
@@ -152,8 +167,9 @@ def _remote_embed(texts: Sequence[str], config: EmbeddingProviderConfig) -> list
 
 
 def prefetch(texts: Sequence[str], config: EmbeddingProviderConfig) -> None:
-    """Embed *texts* into the remote cache that ``_embed`` reads, in one
-    request; the local provider keeps no cache, so for it this does nothing."""
+    """Embed *texts* into the remote cache that ``_embed`` reads, in as few
+    requests as ``_remote_embed`` allows; the local provider keeps no cache,
+    so for it this does nothing."""
     if config.kind is ProviderKind.REMOTE:
         _remote_embed(texts, config)
 

@@ -11,6 +11,8 @@ Judge prompts (containing "Answer with exactly one word") get a fixed
 Yes/No top-logprobs distribution, overridable via server.judge_alternatives.
 Embedding requests get one vector per ``input`` item, in order; a text that
 starts with FIXEDVEC gets (0.6, 0.8). server.embedding_requests counts them.
+An ``input`` of more than EMBEDDING_INPUT_CAP items gets HTTP 400, as from
+text-embeddings-inference at its default --max-client-batch-size.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from corpus import PYTHON_CORPUS
+
+EMBEDDING_INPUT_CAP = 32
 
 
 def _stable_hash(text: str) -> int:
@@ -85,6 +89,8 @@ class MockLLMServer:
     # --- endpoint behaviors -------------------------------------------------
 
     def _embeddings(self, body) -> tuple[int, dict]:
+        if len(body["input"]) > EMBEDDING_INPUT_CAP:
+            return 400, {"error": f"batch size {len(body['input'])} > {EMBEDDING_INPUT_CAP}"}
         return 200, {"data": [{"embedding": self._vector(text)} for text in body["input"]]}
 
     @staticmethod

@@ -1,4 +1,5 @@
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,11 @@ from honest.embeddings import (
     cosine,
     embed,
     embed_text,
+    prefetch,
 )
 from honest.errors import DimensionMismatch, ProviderUnavailable, ZeroVector
 from honest.model import Language, Program
+from mock_server import EMBEDDING_INPUT_CAP
 
 
 def py(source):
@@ -69,6 +72,27 @@ class TestRemote:
                                          endpoint=mock_server.endpoint,
                                          model_name="mock-embed")
         assert embed(py("FIXEDVEC = 1"), config).values == (0.6, 0.8)
+
+    def test_mock_server_rejects_more_inputs_than_its_cap(self, mock_server):
+        def post(count):
+            return requests.post(mock_server.endpoint + "/embeddings", timeout=10,
+                                 json={"model": "m", "input": ["x"] * count})
+
+        assert len(post(EMBEDDING_INPUT_CAP).json()["data"]) == EMBEDDING_INPUT_CAP
+        assert post(EMBEDDING_INPUT_CAP + 1).status_code == 400
+
+    def test_texts_past_the_cap_go_out_in_several_requests(self, mock_server):
+        def remote(model):
+            return EmbeddingProviderConfig(kind=ProviderKind.REMOTE, retries=0,
+                                           endpoint=mock_server.endpoint, model_name=model)
+
+        texts = [f"requirement {i}" for i in range(2 * EMBEDDING_INPUT_CAP + 6)]
+        before = mock_server.embedding_requests
+        prefetch(texts + texts[:5], remote("chunked"))
+        assert mock_server.embedding_requests - before == 3
+        vectors = [embed_text(t, remote("chunked")) for t in texts]
+        assert mock_server.embedding_requests - before == 3
+        assert vectors == [embed_text(t, remote("one-by-one")) for t in texts]
 
     def test_unreachable_endpoint(self):
         config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from honest.client import SamplingConfig, ask_yes_no, sample_programs
-from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text
+from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text, prefetch
 from honest.errors import EndpointError, HonestError, ProviderUnavailable
 from honest.model import Language
 
@@ -61,11 +61,27 @@ def yes_reply(logprob):
                                                    "logprob": logprob}]}}]}
 
 
-def embed(retries):
+def embed_all(texts, retries):
+    """The vectors of *texts*, embedded in one prefetch on a fresh model."""
     config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE, endpoint=ENDPOINT,
                                      model_name=next(_models), retries=retries,
                                      backoff=0.0)
-    return embed_text("reverse a string", config)
+    prefetch(texts, config)
+    return [embed_text(t, config) for t in texts]
+
+
+def embed(retries):
+    return embed_all(["reverse a string"], retries)[0]
+
+
+def embed_pair(retries):
+    return embed_all(["reverse a string", "sort a list"], retries)
+
+
+def vectors(*indices):
+    """An embeddings reply whose items carry *indices*, in that order; item
+    ``i`` holds the vector ``[i + 1.0]``."""
+    return {"data": [{"index": i, "embedding": [i + 1.0]} for i in indices]}
 
 
 json_values = st.recursive(
@@ -95,8 +111,10 @@ choice = obj(
     finish_reason=json_values,
     logprobs=obj(content=shaped(st.lists(token, max_size=3))))
 chat_bodies = obj(choices=shaped(st.lists(choice, max_size=2)))
+vector = shaped(st.lists(shaped(st.floats()), max_size=4))
 embedding_bodies = obj(data=shaped(st.lists(
-    obj(embedding=shaped(st.lists(shaped(st.floats()), max_size=4))), max_size=2)))
+    obj(embedding=vector) | obj(index=shaped(st.integers(-1, 2)), embedding=vector),
+    max_size=2)))
 
 
 @given(body=chat_bodies)
@@ -134,9 +152,14 @@ def test_any_embedding_reply_ends_in_value_or_honest_error(body):
     (embed, json.loads('{"data": [{"embedding": [NaN, 1.0]}]}'), ProviderUnavailable),
     (embed, json.loads('{"data": [{"embedding": [Infinity, 1.0]}]}'), ProviderUnavailable),
     (embed, {"data": [{"embedding": [0.6, 0.8]}] * 2}, ProviderUnavailable),
+    (embed, vectors(1), ProviderUnavailable),
+    (embed_pair, vectors(0, 0), ProviderUnavailable),
+    (embed_pair, {"data": [{"index": 1, "embedding": [2.0]}, {"embedding": [1.0]}]},
+     ProviderUnavailable),
 ], ids=["sample-empty-object", "sample-list", "ask-empty-object",
         "ask-positive-logprob", "ask-nan-logprob", "embed-null-embedding",
-        "embed-nan-value", "embed-infinite-value", "embed-two-vectors-for-one-input"])
+        "embed-nan-value", "embed-infinite-value", "embed-two-vectors-for-one-input",
+        "embed-index-out-of-range", "embed-duplicate-index", "embed-missing-index"])
 def test_malformed_reply_is_retried_then_typed_error(call, body, error):
     with replying(body) as post:
         with pytest.raises(error, match="malformed reply"):
@@ -149,3 +172,22 @@ def test_malformed_reply_then_good_reply_succeeds():
         vector = embed(retries=1)
     assert vector.values == (0.6, 0.8)
     assert post.call_count == 2
+
+
+def test_embeddings_placed_by_index_in_a_reversed_reply():
+    with replying(vectors(1, 0)) as post:
+        pair = embed_pair(retries=0)
+    assert [v.values for v in pair] == [(1.0,), (2.0,)]
+    assert post.call_count == 1
+
+
+def test_a_failed_request_keeps_the_vectors_of_earlier_requests():
+    config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE, endpoint=ENDPOINT,
+                                     model_name=next(_models), retries=0, backoff=0.0)
+    texts = [f"requirement {i}" for i in range(40)]
+    with replying({"data": [{"embedding": [1.0]}] * 32}, {"data": []}) as post:
+        with pytest.raises(ProviderUnavailable, match="malformed reply"):
+            prefetch(texts, config)
+        assert post.call_count == 2
+        prefetch(texts[:32], config)
+        assert post.call_count == 2
