@@ -10,6 +10,7 @@ keywords and literals become leaf kinds. Both languages produce the same
 from __future__ import annotations
 
 import ast
+import threading
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -71,6 +72,14 @@ class DataflowGraph:
 # Python parsing
 
 
+# Held by the recovery loop, which is ast.parse calls but for a list deletion
+# each: CPython 3.11's ast.parse can raise "SystemError: AST constructor
+# recursion depth mismatch" while another thread is inside it (gh-106905), and
+# catch_warnings swaps the process-wide filter list, so threads entering it
+# together leave each other's filters behind.
+_AST_PARSE_LOCK = threading.Lock()
+
+
 def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     """Parse Python source, dropping the line each SyntaxError names until the
     rest parses. Returns the module and how many lines were dropped.
@@ -82,7 +91,7 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     """
     lines = source.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
     dropped = 0
-    with warnings.catch_warnings():
+    with _AST_PARSE_LOCK, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "1if" warns
         while True:
             try:

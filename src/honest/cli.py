@@ -8,14 +8,13 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import zlib
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
 from . import baselines, client, confidence, dataset, evaluation
 from .client import ENDPOINT_ENV, SamplingConfig, SeedMode
-from .embeddings import EmbeddingProviderConfig, ProviderKind
+from .embeddings import EmbeddingProviderConfig, ProviderKind, prefetch
 from .errors import EndpointError, HonestError, ProviderUnavailable
 from .gate import DEFAULT_REFUSAL_MESSAGE, decide, decision_to_json
 from .model import Language, Origin, Program, SampleSet
@@ -35,19 +34,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
-
-
-def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, str]:
@@ -214,21 +200,16 @@ def cmd_estimate(args) -> int:
             "weights": {"alpha": weights.alpha, "beta": weights.beta,
                         "gamma": weights.gamma, "delta": weights.delta},
         }, sort_keys=True))
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    dataset.write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} confidence report(s) to {args.out}")
     return EXIT_OK
 
 
 def cmd_gate(args) -> int:
     reports: dict[str, list[dict]] = {}
-    for number, raw in enumerate(Path(args.report).read_text().split("\n"), 1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except (ValueError, RecursionError) as exc:
-            raise CliError(f"report line {number}: invalid JSON: {exc}") from None
-        if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+    for number, obj in dataset.read_lines(args.report,
+                                          {"id", "model", "n", "confidence", "weights"}):
+        if not (isinstance(obj.get("id"), str)
                 and "n" in obj and isinstance(obj.get("confidence"), (int, float))):
             raise CliError(f"report line {number}: expected an object with a "
                            f"string \"id\", \"n\" and a numeric \"confidence\"")
@@ -260,10 +241,11 @@ def cmd_gate(args) -> int:
     return EXIT_OK
 
 
-def _scorer(args, train: Sequence[dataset.BenchmarkSample],
+def _scorer(args, train: Sequence[dataset.BenchmarkSample], queries: Sequence[str],
             provider: EmbeddingProviderConfig,
             weights: SimilarityWeights) -> tuple[Callable, bool, dict]:
-    """``(score, reads_programs, extra)`` for ``args.method``.
+    """``(score, reads_programs, extra)`` for ``args.method``; *queries* are the
+    requirements it will score.
 
     ``score(sample, sample_set)`` scores one benchmark sample; *sample_set*
     holds the sample's archived programs when *reads_programs*, else None.
@@ -275,6 +257,8 @@ def _scorer(args, train: Sequence[dataset.BenchmarkSample],
             raise CliError("K-NNS needs a labeled train split")
         reqs = [s.requirement for s in train]
         labels = [s.labels[args.model] for s in train]
+        if method == "knn-embed":  # the index and every query in one batched path
+            prefetch(reqs + list(queries), provider)
         index = (baselines.Bm25Index.build(reqs, labels) if method == "knn-bm25"
                  else baselines.EmbeddingCorpus.build(reqs, labels, provider))
         k = args.k if args.k is not None else baselines.tune_k(reqs, labels, index)
@@ -310,7 +294,8 @@ def cmd_eval(args) -> int:
     if not select:
         raise CliError(f"no {args.split} samples with labels for model {args.model!r}")
     train = [s for s, _ in _labelled(benchmark, (), args.model, "train")]
-    score, reads_programs, extra = _scorer(args, train, provider, weights)
+    score, reads_programs, extra = _scorer(
+        args, train, [s.requirement for s, _ in select], provider, weights)
 
     scored = []
     for sample, entry in select:
@@ -345,11 +330,11 @@ def cmd_eval(args) -> int:
         rows = ["threshold,shown_correct,shown_erroneous"]
         rows += [f"{p.threshold!r},{p.shown_correct},{p.shown_erroneous}"
                  for p in sweep]
-        _atomic_write(args.sweep_out, "\n".join(rows) + "\n")
+        dataset.write_text(args.sweep_out, "\n".join(rows) + "\n")
 
     text = json.dumps(result, sort_keys=True)
     if args.out:
-        _atomic_write(args.out, text + "\n")
+        dataset.write_text(args.out, text + "\n")
     print(text)
     width = max(len(k) for k in result)
     for key in sorted(result):

@@ -9,6 +9,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis import DataflowGraph, SubtreeBag, _cst_and_dataflow, extract_subtrees
+from .dataset import _open_text, write_text
 from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed, prefetch
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import mann_whitney_auroc
@@ -228,9 +229,10 @@ def save_weights(result: TuningResult, path: str | Path) -> None:
     w = result.weights
     payload = {"alpha": w.alpha, "beta": w.beta, "gamma": w.gamma,
                "delta": w.delta, "train_auroc": result.train_auroc}
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_weights(path: str | Path) -> SimilarityWeights:
-    data = json.loads(Path(path).read_text())
+    with _open_text(path) as fh:
+        data = json.load(fh)
     return SimilarityWeights(data["alpha"], data["beta"], data["gamma"], data["delta"])

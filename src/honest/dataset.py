@@ -15,10 +15,12 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import os
 import random
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import DuplicateId, MalformedLine, TooFewSamples
 from .model import Language, Origin
@@ -53,15 +55,36 @@ class SampleArchiveEntry:
     programs: tuple[ArchivedProgram, ...]
 
 
-def _open_text(path: str | Path, mode: str):
+def write_text(path: str | Path, text: str) -> None:
+    """Write *text* as UTF-8, gzipped with no timestamp for .gz, to a new file that then
+    replaces *path*: a failed write keeps the old file. Modes are ``open(path, "w")``'s."""
     path = Path(path)
+    data = text.encode("utf-8")
     if path.suffix == ".gz":
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        data = gzip.compress(data, mtime=0)
+    if path.exists() and not path.is_file():  # a FIFO or /dev/stdout: nothing to replace
+        path.write_bytes(data)
+        return
+    path = path.resolve()  # through a symlink, as open(path, "w") writes
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        if path.exists():
+            shutil.copymode(path, tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after the replace
 
 
-def _read_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with _open_text(path, "r") as fh:
+def _open_text(path: str | Path):
+    opener = gzip.open if Path(path).suffix == ".gz" else open
+    return opener(path, "rt", encoding="utf-8", newline="\n")  # only "\n" ends a line
+
+
+def read_lines(path: str | Path, fields: set[str]) -> Iterator[tuple[int, dict]]:
+    """``(line number, object)`` for each non-blank line of a JSON Lines file;
+    keys outside *fields* are logged as ignored."""
+    with _open_text(path) as fh:
         for number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -71,6 +94,9 @@ def _read_lines(path: str | Path) -> Iterable[tuple[int, dict]]:
                 raise MalformedLine(number, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise MalformedLine(number, "expected a JSON object")
+            if set(obj) - fields:
+                log.warning("%s line %d: ignoring unknown fields %s", path, number,
+                            sorted(set(obj) - fields))
             yield number, obj
 
 
@@ -95,11 +121,7 @@ def _parse_label(value, line_number: int) -> bool:
 def load_benchmark(path: str | Path) -> list[BenchmarkSample]:
     samples = []
     seen: set[str] = set()
-    for number, obj in _read_lines(path):
-        unknown = set(obj) - _BENCHMARK_FIELDS
-        if unknown:
-            log.warning("%s line %d: ignoring unknown fields %s", path, number,
-                        sorted(unknown))
+    for number, obj in read_lines(path, _BENCHMARK_FIELDS):
         rid, language, requirement, labels, split = (
             _field(obj, key, kind, number) for key, kind in (
                 ("id", str), ("language", str), ("requirement", str),
@@ -117,16 +139,13 @@ def load_benchmark(path: str | Path) -> list[BenchmarkSample]:
 
 
 def save_benchmark(samples: Sequence[BenchmarkSample], path: str | Path) -> None:
-    with _open_text(path, "w") as fh:
-        for s in samples:
-            fh.write(json.dumps({
-                "id": s.id,
-                "language": s.language.value,
-                "requirement": s.requirement,
-                "labels": {m: "passed" if v else "failed"
-                           for m, v in sorted(s.labels.items())},
-                "split": s.split,
-            }, sort_keys=True) + "\n")
+    write_text(path, "".join(json.dumps({
+        "id": s.id,
+        "language": s.language.value,
+        "requirement": s.requirement,
+        "labels": {m: "passed" if v else "failed" for m, v in sorted(s.labels.items())},
+        "split": s.split,
+    }, sort_keys=True) + "\n" for s in samples))
 
 
 def split_benchmark(samples: Sequence[BenchmarkSample], ratio: float,
@@ -144,11 +163,7 @@ def split_benchmark(samples: Sequence[BenchmarkSample], ratio: float,
 
 def load_samples(path: str | Path) -> list[SampleArchiveEntry]:
     entries = []
-    for number, obj in _read_lines(path):
-        unknown = set(obj) - _ARCHIVE_FIELDS
-        if unknown:
-            log.warning("%s line %d: ignoring unknown fields %s", path, number,
-                        sorted(unknown))
+    for number, obj in read_lines(path, _ARCHIVE_FIELDS):
         rid, model, items = (_field(obj, key, kind, number) for key, kind in (
             ("id", str), ("model", str), ("programs", list)))
         if not items:
@@ -180,15 +195,16 @@ def load_samples(path: str | Path) -> list[SampleArchiveEntry]:
 
 
 def save_samples(entries: Sequence[SampleArchiveEntry], path: str | Path) -> None:
-    with _open_text(path, "w") as fh:
-        for e in entries:
-            programs = []
-            for p in e.programs:
-                rec: dict = {"source": p.source, "temperature": p.temperature}
-                if p.token_probs is not None:
-                    rec["token_probs"] = list(p.token_probs)
-                if p.verdict is not None:
-                    rec["verdict"] = "passed" if p.verdict else "failed"
-                programs.append(rec)
-            fh.write(json.dumps({"id": e.id, "model": e.model,
+    lines = []
+    for e in entries:
+        programs = []
+        for p in e.programs:
+            rec: dict = {"source": p.source, "temperature": p.temperature}
+            if p.token_probs is not None:
+                rec["token_probs"] = list(p.token_probs)
+            if p.verdict is not None:
+                rec["verdict"] = "passed" if p.verdict else "failed"
+            programs.append(rec)
+        lines.append(json.dumps({"id": e.id, "model": e.model,
                                  "programs": programs}, sort_keys=True) + "\n")
+    write_text(path, "".join(lines))

@@ -11,6 +11,7 @@ Judge prompts (containing "Answer with exactly one word") get a fixed
 Yes/No top-logprobs distribution, overridable via server.judge_alternatives.
 Embedding requests get one vector per ``input`` item, in order; a text that
 starts with FIXEDVEC gets (0.6, 0.8). server.embedding_requests counts them.
+server.requests records each request as (path, headers), in arrival order.
 An ``input`` of more than EMBEDDING_INPUT_CAP items gets HTTP 400, as from
 text-embeddings-inference at its default --max-client-batch-size.
 """
@@ -38,6 +39,7 @@ class MockLLMServer:
         self.judge_alternatives = [("Yes", math.log(0.7)), ("No", math.log(0.2))]
         self.request_count = 0
         self.embedding_requests = 0
+        self.requests: list[tuple[str, dict[str, str]]] = []
         self.max_in_flight = 0
         self._in_flight = 0
         self._lock = threading.Lock()
@@ -55,6 +57,7 @@ class MockLLMServer:
                 with outer._lock:
                     outer.request_count += 1
                     outer.embedding_requests += self.path.endswith("/embeddings")
+                    outer.requests.append((self.path, dict(self.headers)))
                     outer._in_flight += 1
                     outer.max_in_flight = max(outer.max_in_flight, outer._in_flight)
                 try:

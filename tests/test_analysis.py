@@ -1,6 +1,10 @@
 import ast
+import gc
 import importlib.util
 import random
+import sys
+import threading
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -208,6 +212,46 @@ class TestExtractDataflow:
             edges = extract_dataflow(program).edges
         assert [str(w.message) for w in caught] == []
         assert edges == Counter({("y", "x"): 1})
+
+
+def test_python_parses_from_threads_raise_nothing():
+    """CPython 3.11's ast.parse raises SystemError ("AST constructor recursion
+    depth mismatch", gh-106905) when another thread enters it while it runs
+    Python code, here a gc callback; and threads silencing its warnings at once
+    leave the process-wide filters changed. Parsing holds a lock around both."""
+    errors = []
+    sources = [*PYTHON_CORPUS, "x = 1if y else 2"]  # ast.parse warns on "1if"
+
+    def parse_for(seconds):
+        end = time.perf_counter() + seconds
+        try:
+            while time.perf_counter() < end and not errors:
+                for source in sources:
+                    parse_cst(py(source))
+        except Exception as exc:  # noqa: BLE001 - any escape fails the test
+            errors.append(exc)
+
+    def on_gc(phase, info):
+        pass
+
+    threads = [threading.Thread(target=parse_for, args=(1.0,)) for _ in range(4)]
+    threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+    filters = list(warnings.filters)
+    gc.callbacks.append(on_gc)
+    gc.set_threshold(50)
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(on_gc)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert warnings.filters == filters
 
 
 class SeedPyDefUse(ast.NodeVisitor):

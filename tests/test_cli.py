@@ -2,6 +2,8 @@ import contextlib
 import gzip
 import io
 import json
+import os
+import stat
 
 import pytest
 from corpus import PYTHON_CORPUS
@@ -9,7 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_replies import obj
 
+from honest import baselines, evaluation
 from honest.cli import main
+from honest.confidence import estimate_confidence
 from honest.dataset import (
     ArchivedProgram,
     BenchmarkSample,
@@ -18,7 +22,9 @@ from honest.dataset import (
     save_benchmark,
     save_samples,
 )
-from honest.model import Language
+from honest.embeddings import EmbeddingProviderConfig, ProviderKind
+from honest.model import Language, Program, SampleSet
+from honest.similarity import SimilarityWeights
 
 MODEL = "m"
 
@@ -372,6 +378,157 @@ class TestTuneCommand:
         assert data["train_auroc"] == 1.0
         echoed = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert echoed["grid_points_evaluated"] == 1771
+
+
+class TestOutputFiles:
+    """Every output goes through one writer: a new file renamed into place,
+    gzipped without a timestamp for .gz paths, with the mode ``open(path,
+    "w")`` gives."""
+
+    def test_gzip_report_is_gated(self, tmp_path, capsys):
+        _, arch_path = build_fixture(tmp_path)
+        report = tmp_path / "report.jsonl.gz"
+        argv = ["estimate", "--archive", str(arch_path), "--language", "python",
+                "--out", str(report)]
+        assert main(argv) == 0
+        first = report.read_bytes()
+        assert main(argv) == 0
+        assert report.read_bytes() == first
+        assert gzip.decompress(first).decode().count("\n") == 8
+        capsys.readouterr()
+        assert main(["gate", "--report", str(report), "--archive", str(arch_path),
+                     "--id", "s0", "--language", "python", "--threshold", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "show"
+
+    def test_gzip_weights_are_read_back(self, tmp_path, capsys):
+        bench_path, arch_path = build_fixture(tmp_path)
+        plain, packed = tmp_path / "weights.json", tmp_path / "weights.json.gz"
+        for out in (plain, packed):
+            assert main(["tune", "--benchmark", str(bench_path), "--archive",
+                         str(arch_path), "--model", MODEL, "--out", str(out)]) == 0
+        assert gzip.decompress(packed.read_bytes()) == plain.read_bytes()
+        capsys.readouterr()
+        for weights in (plain, packed):
+            assert main(["eval", "--benchmark", str(bench_path), "--archive",
+                         str(arch_path), "--model", MODEL, "--method", "honest",
+                         "--weights", str(weights)]) == 0
+        out, err = capsys.readouterr()
+        first, second = [line for line in out.split("\n") if line.startswith("{")]
+        assert first == second and "warning" not in err
+
+    def test_every_output_has_the_mode_open_w_gives(self, mock_server, tmp_path):
+        bench_path, arch_path = build_fixture(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        common = ["--benchmark", str(bench_path), "--model", MODEL]
+        umask = os.umask(0o022)
+        try:
+            runs = [
+                ["sample", "--requirement", "STABLE sort", "--endpoint",
+                 mock_server.endpoint, "--model", MODEL, "--n", "2",
+                 "--out", str(out / "arch.jsonl")],
+                ["estimate", "--archive", str(arch_path), "--language", "python",
+                 "--out", str(out / "report.jsonl")],
+                ["tune", *common, "--archive", str(arch_path),
+                 "--out", str(out / "weights.json")],
+                ["eval", *common, "--archive", str(arch_path), "--method", "avg-prob",
+                 "--out", str(out / "metrics.json"), "--sweep-out", str(out / "sweep.csv")],
+            ]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert [main(argv) for argv in runs] == [0] * 4
+            with open(tmp_path / "plain", "w"):
+                pass
+        finally:
+            os.umask(umask)
+        want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        assert {name: stat.S_IMODE(os.stat(out / name).st_mode)
+                for name in sorted(os.listdir(out))} == {
+            name: want for name in ("arch.jsonl", "metrics.json", "report.jsonl",
+                                    "sweep.csv", "weights.json")}
+
+
+class TestRemoteProvider:
+    def test_estimate_batches_each_set(self, mock_server, tmp_path):
+        _, arch_path = build_fixture(tmp_path)
+        model = "cli-estimate-remote"
+        report = tmp_path / "report.jsonl"
+        before = mock_server.embedding_requests
+        assert main(["estimate", "--archive", str(arch_path), "--language", "python",
+                     "--provider", "remote", "--embed-endpoint", mock_server.endpoint,
+                     "--embed-model", model, "--out", str(report)]) == 0
+        entries = load_samples(arch_path)
+        seen, sets_with_new_programs = set(), 0
+        for entry in entries:  # each set has fewer than 32 distinct programs
+            sources = {p.source for p in entry.programs}
+            sets_with_new_programs += bool(sources - seen)
+            seen |= sources
+        assert mock_server.embedding_requests - before == sets_with_new_programs
+        provider = EmbeddingProviderConfig(kind=ProviderKind.REMOTE,
+                                           endpoint=mock_server.endpoint,
+                                           model_name=model)
+        want = [estimate_confidence(SampleSet(e.id, "", tuple(
+            Program(p.source, Language.PYTHON) for p in e.programs)),
+            SimilarityWeights.uniform(), provider).confidence for e in entries]
+        got = [json.loads(line)["confidence"] for line in report.read_text().split("\n")
+               if line]
+        assert got == want
+
+    def test_remote_without_embed_model_is_usage_error(self, mock_server, tmp_path,
+                                                       capsys):
+        _, arch_path = build_fixture(tmp_path)
+        code = main(["estimate", "--archive", str(arch_path), "--language", "python",
+                     "--provider", "remote", "--embed-endpoint", mock_server.endpoint,
+                     "--out", str(tmp_path / "report.jsonl")])
+        assert code == 2
+        assert "--embed-model" in capsys.readouterr().err
+
+    def knn_benchmark(self, tmp_path):
+        verbs = ["sort", "reverse", "parse", "merge", "count", "split", "join"]
+        benchmark = [BenchmarkSample(
+            id=f"k{i}", language=Language.PYTHON,
+            requirement=f"{verbs[i % 7]} the items of list {i}",
+            labels={MODEL: i % 3 != 0}, split="train" if i < 20 else "test")
+            for i in range(30)]
+        path = tmp_path / "knn.jsonl"
+        save_benchmark(benchmark, path)
+        return benchmark, path
+
+    def test_knn_embed_sends_one_request(self, mock_server, tmp_path, capsys):
+        """The 20 train and 10 test requirements go out in one /embeddings
+        request, and the metrics equal embedding each query on its own."""
+        benchmark, path = self.knn_benchmark(tmp_path)
+        before = mock_server.embedding_requests
+        assert main(["eval", "--benchmark", str(path), "--model", MODEL,
+                     "--method", "knn-embed", "--provider", "remote",
+                     "--embed-endpoint", mock_server.endpoint,
+                     "--embed-model", "cli-knn-batched"]) == 0
+        assert mock_server.embedding_requests - before == 1
+        result = json.loads(capsys.readouterr().out)
+
+        provider = EmbeddingProviderConfig(kind=ProviderKind.REMOTE,
+                                           endpoint=mock_server.endpoint,
+                                           model_name="cli-knn-one-by-one")
+        train = [s for s in benchmark if s.split == "train"]
+        reqs, labels = [s.requirement for s in train], [s.labels[MODEL] for s in train]
+        index = baselines.EmbeddingCorpus.build(reqs, labels, provider)
+        k = baselines.tune_k(reqs, labels, index)
+        scored = [evaluation.ScoredSample(
+            id=s.id, label=s.labels[MODEL], score=baselines.knn_confidence(
+                s.requirement, index, baselines.KnnConfig(k)))
+            for s in benchmark if s.split == "test"]
+        assert (result["auroc"], result["aucpr"], result["k"]) == (
+            evaluation.auroc(scored), evaluation.aucpr(scored), k)
+
+    def test_knn_bm25_sends_no_embedding_request(self, mock_server, tmp_path):
+        _, path = self.knn_benchmark(tmp_path)
+        before = mock_server.embedding_requests
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["eval", "--benchmark", str(path), "--model", MODEL,
+                         "--method", "knn-bm25", "--provider", "remote",
+                         "--embed-endpoint", mock_server.endpoint,
+                         "--embed-model", "cli-knn-bm25"]) == 0
+        assert mock_server.embedding_requests == before
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -11,6 +11,7 @@ from honest.client import (
     sample_programs,
     sample_records,
 )
+from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text
 from honest.errors import EmptyCompletion, EndpointError, LogprobsUnavailable, TooFewUsable
 from honest.model import Language
 
@@ -170,3 +171,22 @@ class TestAskYesNo:
         with pytest.raises(LogprobsUnavailable):
             ask_yes_no("NOLOGPROBS Answer with exactly one word: Yes or No.",
                        config(mock_server))
+
+
+@pytest.mark.parametrize("key", ["test-key", None])
+def test_api_key_is_a_bearer_token_on_every_request(mock_server, monkeypatch, key):
+    """HONEST_API_KEY, when set, goes out as ``Authorization: Bearer`` on chat and
+    /embeddings requests alike; unset, no request carries the header."""
+    if key:
+        monkeypatch.setenv("HONEST_API_KEY", key)
+    else:
+        monkeypatch.delenv("HONEST_API_KEY", raising=False)
+    before = len(mock_server.requests)
+    sample_records("STABLE sort", Language.PYTHON, config(mock_server, n=1))
+    embed_text("sort a list", EmbeddingProviderConfig(
+        kind=ProviderKind.REMOTE, endpoint=mock_server.endpoint,
+        model_name=f"api-key-{key}"))
+    sent = mock_server.requests[before:]
+    assert [path for path, _ in sent] == ["/v1/chat/completions", "/v1/embeddings"]
+    assert [headers.get("Authorization") for _, headers in sent] == (
+        [f"Bearer {key}"] * 2 if key else [None, None])

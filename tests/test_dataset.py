@@ -1,5 +1,8 @@
 import gzip
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -12,6 +15,7 @@ from honest.dataset import (
     save_benchmark,
     save_samples,
     split_benchmark,
+    write_text,
 )
 from honest.errors import DuplicateId, MalformedLine, TooFewSamples, UnknownLanguage
 from honest.model import Language
@@ -50,6 +54,15 @@ class TestBenchmarkIo:
         path = tmp_path / "b.jsonl"
         path.write_text(json.dumps(VALID_LINE) + "\n\n\n")
         assert len(load_benchmark(path)) == 1
+
+    @pytest.mark.parametrize("end, space", [("\n", " "), ("\r\n", " "), ("\n", "\r")],
+                             ids=["lf", "crlf", "cr-inside-a-line"])
+    def test_only_a_line_feed_ends_a_line(self, tmp_path, end, space):
+        """JSON Lines breaks at "\\n"; a "\\r" is JSON whitespace."""
+        path = tmp_path / "b.jsonl"
+        path.write_bytes("".join(json.dumps(dict(VALID_LINE, id=rid)).replace(", ", "," + space)
+                                 + end for rid in "ab").encode())
+        assert [s.id for s in load_benchmark(path)] == ["a", "b"]
 
     def test_labels_parsed_to_bool(self, tmp_path):
         path = tmp_path / "b.jsonl"
@@ -248,3 +261,86 @@ class TestSampleArchive:
         with pytest.raises(MalformedLine) as exc:
             load_samples(path)
         assert exc.value.line_number == 2
+
+
+def mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+class TestWriteText:
+    def test_gzip_bytes_carry_no_time_or_name(self, tmp_path):
+        """Two saves to differently named .gz files give the same bytes, with a
+        zero timestamp, and load back."""
+        samples = [bench(i) for i in range(3)]
+        entries = [TestSampleArchive().entry()]
+        for save, load, value in ((save_benchmark, load_benchmark, samples),
+                                  (save_samples, load_samples, entries)):
+            p1, p2 = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
+            save(value, p1)
+            save(value, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+            assert p1.read_bytes()[4:8] == bytes(4)  # gzip MTIME
+            assert load(p1) == value
+
+    def test_new_file_mode_is_what_open_w_gives(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            write_text(tmp_path / "new.txt", "x\n")
+            write_text(tmp_path / "new.txt.gz", "x\n")
+        finally:
+            os.umask(umask)
+        assert mode(tmp_path / "new.txt") == mode(tmp_path / "plain.txt") == 0o644
+        assert mode(tmp_path / "new.txt.gz") == 0o644
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        write_text(path, "new\n")
+        assert (path.read_text(), mode(path)) == ("new\n", 0o640)
+
+    def test_symlink_keeps_pointing_at_the_new_text(self, tmp_path):
+        target, link = tmp_path / "run-1.jsonl", tmp_path / "latest.jsonl"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        write_text(link, "new\n")
+        assert link.is_symlink() and target.read_text() == "new\n"
+        assert sorted(os.listdir(tmp_path)) == ["latest.jsonl", "run-1.jsonl"]
+
+    def test_save_failing_midway_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "arch.jsonl"
+        entry = TestSampleArchive().entry()
+        save_samples([SampleArchiveEntry("old", "model-a", entry.programs)], path)
+        old = path.read_bytes()
+        broken = SampleArchiveEntry("s1", "model-a", (ArchivedProgram(object(), 1.0),))
+        with pytest.raises(TypeError):  # the second line does not serialize
+            save_samples([entry, broken], path)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["arch.jsonl"]
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.jsonl"
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_text(path, "new\n")
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["report.jsonl"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        os.mkfifo(path)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(path.read_text()),
+                                  daemon=True)
+        reader.start()
+        write_text(path, "line\n")
+        reader.join(timeout=10)
+        assert received == ["line\n"]
+        assert stat.S_ISFIFO(os.stat(path).st_mode)

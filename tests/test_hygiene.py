@@ -178,3 +178,59 @@ def test_no_splitlines():
     calls = [f"{p.name}: line {line}" for p in sorted(SRC.glob("*.py"))
              for line in _splitlines_calls(ast.parse(p.read_text(), filename=str(p)))]
     assert not calls, f"splitlines calls: {', '.join(calls)}"
+
+
+# Where a call's mode argument sits: open(file, mode) and gzip.open(file, mode),
+# but path.open(mode).
+_MODULES_WITH_OPEN = {"gzip", "bz2", "lzma", "io", "codecs", "builtins"}
+
+
+def _open_mode(call):
+    """The mode of an ``open`` call as written ("r" when left out), or None
+    when it is not a string literal."""
+    func = call.func
+    on_path = (isinstance(func, ast.Attribute)
+               and not (isinstance(func.value, ast.Name) and func.value.id in _MODULES_WITH_OPEN))
+    position = 0 if on_path else 1
+    mode = next((k.value for k in call.keywords if k.arg == "mode"),
+                call.args[position] if len(call.args) > position else ast.Constant("r"))
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else None
+
+
+def _write_sites(tree):
+    """``what`` for each place that writes a file other than through
+    ``dataset.write_text``: tempfile, os.replace or os.rename, a
+    ``write_text``/``write_bytes`` method, or an ``open`` whose mode writes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module])
+            if "tempfile" in modules:
+                yield f"line {node.lineno}: import tempfile"
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        owner = (func.value.id if isinstance(func, ast.Attribute)
+                 and isinstance(func.value, ast.Name) else None)
+        if ((owner == "os" and name in ("replace", "rename"))
+                or (name in ("write_text", "write_bytes") and owner != "dataset"
+                    and isinstance(func, ast.Attribute))):
+            yield f"line {node.lineno}: {owner or '...'}.{name}"
+        elif name == "open" and owner != "os":
+            mode = _open_mode(node)
+            if mode is None or set(mode) & set("wxa+"):
+                yield f"line {node.lineno}: open mode {mode!r}"
+        elif owner == "os" and name in ("open", "fdopen"):
+            yield f"line {node.lineno}: os.{name}"
+
+
+def test_only_dataset_writes_files():
+    """``dataset.write_text`` is the one writer: atomic, .gz-aware and
+    byte-stable. The one other write is the audit log's append in client.py."""
+    sites = {p.name: list(_write_sites(ast.parse(p.read_text(), filename=str(p))))
+             for p in sorted(SRC.glob("*.py")) if p.name != "dataset.py"}
+    writing = {name: lines for name, lines in sites.items() if lines}
+    assert len(writing.get("client.py", [])) == 1
+    assert writing.pop("client.py")[0].endswith("open mode 'a'")
+    assert not writing, f"modules that write files: {writing}"
