@@ -9,6 +9,7 @@ import json
 import os
 import sys
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -31,9 +32,7 @@ METHODS = ("honest", "avg-prob", "product-prob", "self-ask-code",
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage or precondition error: ``main`` prints it and exits 2."""
 
 
 def _load_config_file(path: Optional[str]) -> dict[str, str]:
@@ -52,16 +51,13 @@ def _load_config_file(path: Optional[str]) -> dict[str, str]:
 
 
 def _resolve(flag: Optional[str], env_name: Optional[str],
-             file_values: dict[str, str], file_key: str,
-             default: Optional[str] = None) -> Optional[str]:
-    # precedence: flags > environment > config file > defaults
+             file_values: dict[str, str], file_key: str) -> Optional[str]:
+    # precedence: flags > environment > config file
     if flag is not None:
         return flag
     if env_name and os.environ.get(env_name):
         return os.environ[env_name]
-    if file_key in file_values:
-        return file_values[file_key]
-    return default
+    return file_values.get(file_key)
 
 
 def _resolved_config(args) -> dict:
@@ -197,8 +193,7 @@ def cmd_estimate(args) -> int:
             "model": entry.model,
             "n": report.n,
             "confidence": report.confidence,
-            "weights": {"alpha": weights.alpha, "beta": weights.beta,
-                        "gamma": weights.gamma, "delta": weights.delta},
+            "weights": asdict(weights),
         }, sort_keys=True))
     dataset.write_text(args.out, "\n".join(lines) + "\n")
     print(f"wrote {len(lines)} confidence report(s) to {args.out}")
@@ -355,9 +350,8 @@ def cmd_tune(args) -> int:
 
     result = confidence.tune_weights(train, provider)
     confidence.save_weights(result, args.out)
-    w = result.weights
     print(json.dumps({
-        "alpha": w.alpha, "beta": w.beta, "gamma": w.gamma, "delta": w.delta,
+        **asdict(result.weights),
         "train_auroc": result.train_auroc,
         "grid_points_evaluated": result.grid_points_evaluated,
     }, sort_keys=True))
@@ -464,7 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_USAGE
     except (EndpointError, ProviderUnavailable) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NETWORK

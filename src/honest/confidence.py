@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,9 +44,10 @@ class TuningResult:
     grid_points_evaluated: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProgramAnalysis:
-    """Everything the pairwise similarities need, computed once per program."""
+    """Everything the pairwise similarities need, computed once per program.
+    Equal and hashed by identity only."""
 
     tokens: TokenSequence
     subtree_bag: SubtreeBag
@@ -66,27 +68,20 @@ def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> Prog
     )
 
 
-# The symmetric terms of the last pair, (a_i, a_j, terms), kept for the
-# reverse call that _pairs makes right after it. The analyses are matched by
-# identity and held, so no other analysis can take their place; a call from
-# another thread in between only makes the reverse call miss.
-_last_terms: Optional[tuple] = None
-
-
 def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
     """The n-gram, subtree and edge overlaps and the cosine of a pair: the same
     for both orders, so the pair's reverse right after reuses them."""
-    global _last_terms
-    slot = _last_terms
-    if slot is not None and slot[0] is a_j and slot[1] is a_i:
-        _last_terms = None
-        return slot[2]
-    terms = (text_overlaps(a_i.tokens, a_j.tokens),
-             _overlap(a_i.subtree_bag.entries, a_j.subtree_bag.entries),
-             _overlap(a_i.dataflow.edges, a_j.dataflow.edges),
-             sim_embed(a_i.embedding, a_j.embedding))
-    _last_terms = (a_i, a_j, terms)
-    return terms
+    return _terms_in_id_order(*sorted((a_i, a_j), key=id))
+
+
+# Keyed on the two analyses themselves (hashed by identity) and holding them,
+# so no other pair can take their ids; a racing thread can only miss.
+@lru_cache(maxsize=1)
+def _terms_in_id_order(a: ProgramAnalysis, b: ProgramAnalysis) -> tuple:
+    return (text_overlaps(a.tokens, b.tokens),
+            _overlap(a.subtree_bag.entries, b.subtree_bag.entries),
+            _overlap(a.dataflow.edges, b.dataflow.edges),
+            sim_embed(a.embedding, b.embedding))
 
 
 def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,
@@ -226,9 +221,7 @@ def tune_weights(train: Sequence[tuple[SampleSet, bool]],
 
 
 def save_weights(result: TuningResult, path: str | Path) -> None:
-    w = result.weights
-    payload = {"alpha": w.alpha, "beta": w.beta, "gamma": w.gamma,
-               "delta": w.delta, "train_auroc": result.train_auroc}
+    payload = {**asdict(result.weights), "train_auroc": result.train_auroc}
     write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 

@@ -5,12 +5,6 @@ class HonestError(Exception):
     """Base class for all package errors."""
 
 
-# --- program model / analysis ---
-
-class UnsupportedLanguage(HonestError):
-    pass
-
-
 # --- embeddings ---
 
 class ProviderUnavailable(HonestError):

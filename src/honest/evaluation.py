@@ -95,11 +95,11 @@ def aucpr(scored: Sequence[ScoredSample], mode: str = "average-precision") -> fl
     raise ValueError(f"unknown PR mode: {mode!r}")
 
 
-def threshold_sweep(scored: Sequence[ScoredSample],
-                    points: int = SWEEP_POINTS) -> list[SweepPoint]:
-    """Equally spaced thresholds over [min score, max score]; at each t the
-    samples with score >= t contribute their correct / erroneous program
-    counts. The lowest threshold therefore reproduces indiscriminate showing.
+def threshold_sweep(scored: Sequence[ScoredSample]) -> list[SweepPoint]:
+    """SWEEP_POINTS equally spaced thresholds over [min score, max score]; at
+    each t the samples with score >= t contribute their correct / erroneous
+    program counts. The lowest threshold therefore reproduces indiscriminate
+    showing.
     """
     if not scored:
         raise ValueError("no scored samples")
@@ -108,9 +108,9 @@ def threshold_sweep(scored: Sequence[ScoredSample],
             raise MissingProgramCounts(s.id)
     lo = min(s.score for s in scored)
     hi = max(s.score for s in scored)
-    step = (hi - lo) / (points - 1) if points > 1 else 0.0
+    step = (hi - lo) / (SWEEP_POINTS - 1)
     sweep = []
-    for k in range(points):
+    for k in range(SWEEP_POINTS):
         t = lo + k * step
         correct = sum(s.programs_correct for s in scored if s.score >= t)
         erroneous = sum(s.programs_total - s.programs_correct

@@ -15,7 +15,7 @@ from typing import Optional
 from pygments.lexers import JavaLexer, PythonLexer
 from pygments.token import Comment, String, _TokenType
 
-from .errors import UnknownLanguage, UnsupportedLanguage
+from .errors import UnknownLanguage
 
 
 class Language(Enum):
@@ -116,10 +116,7 @@ Lexed = list[tuple[_TokenType, str]]  # a Pygments (token type, text) stream
 def lex(program: Program) -> Lexed:
     """The program's Pygments stream, comments and whitespace included: the one
     lexing pass that its tokens, Java parse and dataflow, and local embedding read."""
-    lexer = _LEXERS.get(program.language)
-    if lexer is None:
-        raise UnsupportedLanguage(str(program.language))
-    return list(lexer.get_tokens(program.source))
+    return list(_LEXERS[program.language].get_tokens(program.source))
 
 
 def token_sequence(lexed: Lexed) -> TokenSequence:

@@ -2,6 +2,7 @@ import contextlib
 import gzip
 import io
 import json
+import math
 import os
 import stat
 
@@ -59,6 +60,14 @@ def build_fixture(tmp_path):
     return bench_path, arch_path
 
 
+def assert_usage_error(code, err):
+    """Exit 2 with one ``error:`` line on stderr and no traceback."""
+    assert code == 2
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestSampleCommand:
     def test_single_requirement(self, mock_server, tmp_path, capsys):
         out = tmp_path / "arch.jsonl"
@@ -103,6 +112,15 @@ class TestSampleCommand:
                      "--out", str(tmp_path / "a.jsonl")])
         assert code == 2
         assert "endpoint" in capsys.readouterr().err
+
+    def test_missing_model_is_usage_error(self, tmp_path, capsys):
+        # the endpoint is never contacted: the missing model is rejected first
+        code = main(["sample", "--requirement", "x",
+                     "--endpoint", "http://127.0.0.1:9/v1",
+                     "--out", str(tmp_path / "a.jsonl")])
+        err = capsys.readouterr().err
+        assert_usage_error(code, err)
+        assert "no model configured" in err
 
     def test_missing_requirement_is_usage_error(self, mock_server, tmp_path):
         code = main(["sample", "--endpoint", mock_server.endpoint,
@@ -313,7 +331,6 @@ class TestEvalCommand:
         assert result["auroc"] == 1.0  # disjoint train phrasings separate cleanly
 
     def test_self_ask_req_method(self, mock_server, tmp_path, capsys):
-        import math
         mock_server.judge_alternatives = [("Yes", math.log(0.7)),
                                           ("No", math.log(0.2))]
         bench_path, arch_path = build_fixture(tmp_path)
@@ -322,6 +339,35 @@ class TestEvalCommand:
                      "--method", "self-ask-req",
                      "--endpoint", mock_server.endpoint])
         assert code == 0
+
+    def test_self_ask_code_method(self, mock_server, tmp_path, capsys):
+        mock_server.judge_alternatives = [("Yes", math.log(0.7)),
+                                          ("No", math.log(0.2))]
+        bench_path, arch_path = build_fixture(tmp_path)
+        before = mock_server.request_count
+        code = main(["eval", "--benchmark", str(bench_path),
+                     "--archive", str(arch_path), "--model", MODEL,
+                     "--method", "self-ask-code",
+                     "--endpoint", mock_server.endpoint])
+        assert code == 0
+        # one judgment per archived program: 4 test samples of 3 programs
+        assert mock_server.request_count - before == 12
+        result = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert result["n_samples"] == 4
+        # the mock judges every program alike, so every score ties
+        assert result["auroc"] == 0.5
+        assert 0.0 < result["aucpr"] <= 1.0
+
+    def test_knn_without_a_train_split_is_usage_error(self, tmp_path, capsys):
+        bench_path = tmp_path / "bench.jsonl"
+        save_benchmark([BenchmarkSample(
+            id=f"s{i}", language=Language.PYTHON, requirement="sort a list",
+            labels={MODEL: i % 2 == 0}, split="test") for i in range(4)], bench_path)
+        code = main(["eval", "--benchmark", str(bench_path), "--model", MODEL,
+                     "--method", "knn-bm25"])
+        err = capsys.readouterr().err
+        assert_usage_error(code, err)
+        assert "train split" in err
 
     def test_sweep_csv(self, tmp_path):
         bench_path, arch_path = build_fixture(tmp_path)
@@ -550,27 +596,26 @@ def test_out_of_range_flag_is_usage_error(command, flags, tmp_path, capsys):
         "eval": ["--benchmark", str(bench_path), "--model", MODEL],
     }[command]
     code = main([command, *required, *flags])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert_usage_error(code, capsys.readouterr().err)
 
 
 # Each command's input files, as (flag, contents on the fixture); *None*
 # contents mean the fixture's own benchmark or archive.
 INPUT_FILES = {
-    "sample": {"--requirement-file": "sort a list"},
+    "sample": {"--requirement-file": "sort a list", "--config": f"model = {MODEL}\n"},
     "estimate": {"--archive": None, "--weights": json.dumps(
         {"alpha": 0.25, "beta": 0.25, "gamma": 0.25, "delta": 0.25})},
     "gate": {"--report": json.dumps({"id": "s0", "n": 3, "confidence": 1.0}),
              "--archive": None},
     "eval": {"--benchmark": None, "--archive": None},
+    "tune": {"--benchmark": None, "--archive": None},
 }
 OTHER_FLAGS = {
     "sample": ["--endpoint", "http://127.0.0.1:9/v1", "--model", MODEL],
     "estimate": ["--language", "python"],
     "gate": ["--language", "python", "--threshold", "0.5"],
     "eval": ["--model", MODEL, "--method", "honest"],
+    "tune": ["--model", MODEL],
 }
 
 
@@ -588,7 +633,7 @@ def argv_with_input(command, tmp_path, flag, contents, suffix=".jsonl"):
                 data = text if isinstance(text, bytes) else text.encode()
                 path.write_bytes(data)
         argv += [name, str(path)]
-    if command in ("sample", "estimate"):
+    if command in ("sample", "estimate", "tune"):
         argv += ["--out", str(tmp_path / "out.jsonl")]
     return argv + OTHER_FLAGS[command]
 
@@ -618,17 +663,21 @@ ARCHIVE_LINE = {"id": "s0", "model": MODEL,
     ("estimate", "--archive", gzip.compress(
         (json.dumps(ARCHIVE_LINE) + "\n").encode() * 50)[:-20], ".jsonl.gz"),
     ("eval", "--benchmark", b"\xff\xfe{}\n", ".jsonl"),
+    ("sample", "--config", f"model = {MODEL}\nendpoint http://127.0.0.1:9/v1\n", ".cfg"),
+    # an archive of s0 alone has no entry for the test split's s4; one of s4
+    # alone has none for any train sample
+    ("eval", "--archive", json.dumps(ARCHIVE_LINE), ".jsonl"),
+    ("tune", "--archive", json.dumps({**ARCHIVE_LINE, "id": "s4"}), ".jsonl"),
 ], ids=["missing-archive", "missing-report", "missing-requirement-file",
         "report-not-json", "report-without-id", "weights-without-alpha",
         "weights-not-summing-to-1", "benchmark-labels-list", "program-item-string",
-        "numeric-source", "truncated-gzip", "undecodable-benchmark"])
+        "numeric-source", "truncated-gzip", "undecodable-benchmark",
+        "config-line-without-equals", "archive-without-an-evaluated-id",
+        "tune-without-archived-train-samples"])
 def test_unreadable_or_malformed_input_is_usage_error(command, flag, contents,
                                                       suffix, tmp_path, capsys):
     code = main(argv_with_input(command, tmp_path, flag, contents, suffix))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert_usage_error(code, capsys.readouterr().err)
 
 
 def json_lines(line):

@@ -509,23 +509,27 @@ class TestPairStage:
         real = confidence.text_overlaps
 
         def counted(seq_i, seq_j):
-            fresh.append((seq_i, seq_j))
+            fresh.append({seq_i, seq_j})
             return real(seq_i, seq_j)
 
         monkeypatch.setattr(confidence, "text_overlaps", counted)
-        # the second call reuses the first's terms and clears the slot, so
-        # the third computes its own
-        for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 0, a, a)):
+        # the forward call computes, its reverse and a repeat of the pair
+        # reuse, and a different pair computes its own
+        computed = []
+        for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 1, a, b),
+                               (0, 0, a, a)):
             bd = pair_breakdown(i, j, a_i, a_j, weights)
+            computed.append(len(fresh))
             assert (bd.text, bd.syntax, bd.dataflow, bd.embedding) == (
                 sim_text(a_i.tokens, a_j.tokens),
                 sim_syntax(a_i.subtree_bag, a_j.subtree_bag),
                 sim_dataflow(a_i.dataflow, a_j.dataflow),
                 sim_embed(a_i.embedding, a_j.embedding))
-        assert fresh == [(a.tokens, b.tokens), (b.tokens, a.tokens), (a.tokens, a.tokens)]
+        assert computed == [1, 1, 1, 1, 2]
+        assert fresh == [{a.tokens, b.tokens}, {a.tokens}]
 
     def test_threads_equal_serial_runs(self, local_provider):
-        """Threads share the one-slot memo of the last pair's terms; one that
+        """Threads share the one-entry cache of the last pair's terms; one that
         finds another thread's pair there must miss, never reuse it."""
         sets = [sample_set(PYTHON_CORPUS[k:k + 5], rid=f"py-{k}") for k in (0, 5, 10, 15)]
         sets.append(SampleSet("java", "a requirement",

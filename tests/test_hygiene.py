@@ -234,3 +234,12 @@ def test_only_dataset_writes_files():
     assert len(writing.get("client.py", [])) == 1
     assert writing.pop("client.py")[0].endswith("open mode 'a'")
     assert not writing, f"modules that write files: {writing}"
+
+
+def test_no_global_statement():
+    """State a function writes through ``global`` or ``nonlocal`` outlives
+    the call and is shared by every caller and thread."""
+    statements = [f"{p.name}: line {node.lineno}" for p in sorted(SRC.glob("*.py"))
+                  for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
+                  if isinstance(node, (ast.Global, ast.Nonlocal))]
+    assert not statements, f"global or nonlocal statements: {', '.join(statements)}"
