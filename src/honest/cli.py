@@ -147,8 +147,8 @@ def cmd_sample(args) -> int:
             programs=tuple(
                 dataset.ArchivedProgram(
                     source=r.program.source,
-                    temperature=r.program.origin.temperature or 0.0,
-                    token_probs=r.token_probs or None,
+                    temperature=r.program.origin.temperature or 0.0,  # archives -0.0 as 0.0
+                    token_probs=r.program.origin.token_probs,
                 ) for r in records),
         ))
     dataset.save_samples(entries, args.out)

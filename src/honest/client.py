@@ -94,7 +94,6 @@ class GenerationRecord:
     raw_response: str
     token_probs: tuple[float, ...]
     finish_reason: str
-    unfenced: bool = False
 
 
 _FENCE_RE = re.compile(r"```[ \t]*[\w+-]*[ \t]*\r?\n(.*?)```", re.DOTALL)
@@ -180,19 +179,18 @@ def _record(choice: dict, language: Language, temperature: float,
             index: int) -> GenerationRecord:
     raw = choice["message"]["content"] or ""
     source = extract_code_block(raw)
-    unfenced = _FENCE_RE.search(raw) is None
     probs = tuple(math.exp(item["logprob"]) for item in _logprobs(choice)
                   if item.get("logprob") is not None)
     program = Program(
         source=source,
         language=language,
         origin=Origin(sample_index=index, temperature=temperature,
-                      token_probs=probs or None, unfenced=unfenced),
+                      token_probs=probs or None,
+                      unfenced=_FENCE_RE.search(raw) is None),
     )
     return GenerationRecord(program=program, raw_response=raw,
                             token_probs=probs,
-                            finish_reason=choice.get("finish_reason", ""),
-                            unfenced=unfenced)
+                            finish_reason=choice.get("finish_reason", ""))
 
 
 def sample_records(requirement: str, language: Language,

@@ -64,7 +64,7 @@ def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> Prog
         tokens=tokens,
         subtree_bag=extract_subtrees(tree),
         dataflow=dataflow,
-        embedding=_embed(program.source, lambda: tokens.tokens, provider),
+        embedding=_embed(program.source, lambda: tokens, provider),
     )
 
 

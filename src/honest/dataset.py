@@ -16,13 +16,12 @@ import gzip
 import json
 import logging
 import os
-import random
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .errors import DuplicateId, MalformedLine, TooFewSamples
+from .errors import DuplicateId, MalformedLine
 from .model import Language, Origin
 
 log = logging.getLogger(__name__)
@@ -146,19 +145,6 @@ def save_benchmark(samples: Sequence[BenchmarkSample], path: str | Path) -> None
         "labels": {m: "passed" if v else "failed" for m, v in sorted(s.labels.items())},
         "split": s.split,
     }, sort_keys=True) + "\n" for s in samples))
-
-
-def split_benchmark(samples: Sequence[BenchmarkSample], ratio: float,
-                    seed: int) -> tuple[list[BenchmarkSample], list[BenchmarkSample]]:
-    """Deterministic seeded shuffle, then split at floor(ratio * n)."""
-    if len(samples) < 2:
-        raise TooFewSamples("need at least 2 samples to split")
-    if not 0.0 < ratio < 1.0:
-        raise ValueError("ratio must be in (0, 1)")
-    order = list(samples)
-    random.Random(seed).shuffle(order)
-    cut = int(ratio * len(order))
-    return order[:cut], order[cut:]
 
 
 def load_samples(path: str | Path) -> list[SampleArchiveEntry]:

@@ -24,7 +24,7 @@ from .errors import (
     ProviderUnavailable,
     ZeroVector,
 )
-from .model import Program, tokenize
+from .model import Program, TokenSequence, tokenize
 
 _HASH_SEED = b"honest-localhashed-v1"  # fixed: vectors must be reproducible
 
@@ -83,18 +83,18 @@ def _bucket(feature: str, dimension: int) -> tuple[int, float]:
     return (value >> 1) % dimension, sign
 
 
-def _hashed_vector(tokens: Sequence[str], dimension: int) -> EmbeddingVector:
+def _hashed_vector(seq: TokenSequence, dimension: int) -> EmbeddingVector:
+    """Each distinct unigram and bigram hashed once, added times its count:
+    buckets are sums of small whole numbers, exact in any order."""
     counts = [0.0] * dimension
-    features = list(tokens)
-    features += [a + "\x00" + b for a, b in zip(tokens, tokens[1:])]
-    for feature in features:
-        idx, sign = _bucket(feature, dimension)
-        counts[idx] += sign
+    for grams in seq.ngrams[:2]:
+        for gram, count in grams.items():
+            idx, sign = _bucket("\x00".join(gram), dimension)
+            counts[idx] += sign * count
     norm = math.sqrt(sum(v * v for v in counts))
     if norm == 0.0:
         # degenerate input (empty program, or exact sign cancellation):
         # replace with a fixed unit basis vector so identical inputs agree
-        counts = [0.0] * dimension
         counts[0] = 1.0
         norm = 1.0
     return EmbeddingVector(tuple(v / norm for v in counts))
@@ -109,16 +109,16 @@ class _RemoteState:
         self.lock = threading.Lock()
 
 
-_remote_states: dict[tuple, _RemoteState] = {}
+_remote_states: dict[EmbeddingProviderConfig, _RemoteState] = {}
 _remote_states_lock = threading.Lock()
 
 
 def _state_for(config: EmbeddingProviderConfig) -> _RemoteState:
-    key = (config.endpoint, config.model_name)
+    """The state of *config*; equal configs share one."""
     with _remote_states_lock:
-        if key not in _remote_states:
-            _remote_states[key] = _RemoteState(config)
-        return _remote_states[key]
+        if config not in _remote_states:
+            _remote_states[config] = _RemoteState(config)
+        return _remote_states[config]
 
 
 def _embeddings_reader(count: int) -> Callable[[Any], list[tuple[float, ...]]]:
@@ -174,10 +174,10 @@ def prefetch(texts: Sequence[str], config: EmbeddingProviderConfig) -> None:
         _remote_embed(texts, config)
 
 
-def _embed(text: str, features: Callable[[], Sequence[str]],
+def _embed(text: str, features: Callable[[], TokenSequence],
            config: EmbeddingProviderConfig) -> EmbeddingVector:
-    """The one provider switch: hash ``features()`` locally, or send *text*
-    remote; *features* is only called for the local provider."""
+    """The one provider switch: hash the n-grams of ``features()`` locally, or
+    send *text* remote; *features* is only called for the local provider."""
     if config.kind is ProviderKind.LOCAL_HASHED:
         return _hashed_vector(features(), config.dimension)
     return _remote_embed([text], config)[0]
@@ -185,7 +185,7 @@ def _embed(text: str, features: Callable[[], Sequence[str]],
 
 def embed(program: Program, config: EmbeddingProviderConfig) -> EmbeddingVector:
     """Embed a program's source; the local provider hashes its lexical tokens."""
-    return _embed(program.source, lambda: tokenize(program).tokens, config)
+    return _embed(program.source, lambda: tokenize(program), config)
 
 
 def text_tokens(text: str) -> list[str]:
@@ -195,7 +195,7 @@ def text_tokens(text: str) -> list[str]:
 
 def embed_text(text: str, config: EmbeddingProviderConfig) -> EmbeddingVector:
     """Embed plain text (requirements); the local provider hashes word tokens."""
-    return _embed(text, lambda: text_tokens(text), config)
+    return _embed(text, lambda: TokenSequence(tuple(text_tokens(text))), config)
 
 
 def _power_of_two_scaled(values: Sequence[float]) -> list[float]:

@@ -89,6 +89,14 @@ class TestSampleCommand:
         temps = [p.temperature for p in load_samples(out)[0].programs]
         assert temps == [0.0, 0.2, 0.6, 0.8, 1.0]
 
+    def test_negative_zero_temperature_is_archived_as_zero(self, mock_server, tmp_path):
+        out = tmp_path / "arch.jsonl"
+        code = main(["sample", "--requirement", "STABLE sort", "--temperature", "-0.0",
+                     "--endpoint", mock_server.endpoint, "--model", MODEL,
+                     "--n", "1", "--out", str(out)])
+        assert code == 0
+        assert '"temperature": 0.0,' in out.read_text()
+
     def test_benchmark_input(self, mock_server, tmp_path):
         bench_path, _ = build_fixture(tmp_path)
         out = tmp_path / "sampled.jsonl"

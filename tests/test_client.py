@@ -87,7 +87,7 @@ class TestSampling:
     def test_unfenced_flag_set(self, mock_server):
         records = sample_records("NOFENCE describe", Language.PYTHON,
                                  config(mock_server, n=2))
-        assert all(r.unfenced for r in records)
+        assert all(r.program.origin.unfenced for r in records)
 
     def test_retry_on_transient_failure(self, mock_server):
         before = mock_server.request_count

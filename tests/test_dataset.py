@@ -14,10 +14,9 @@ from honest.dataset import (
     load_samples,
     save_benchmark,
     save_samples,
-    split_benchmark,
     write_text,
 )
-from honest.errors import DuplicateId, MalformedLine, TooFewSamples, UnknownLanguage
+from honest.errors import DuplicateId, MalformedLine, UnknownLanguage
 from honest.model import Language
 
 
@@ -142,39 +141,6 @@ class TestBenchmarkIo:
         save_benchmark(samples, p1)
         save_benchmark(samples, p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-class TestSplit:
-    def test_sizes(self):
-        train, test = split_benchmark([bench(i) for i in range(10)], 0.7, seed=42)
-        assert len(train) == 7 and len(test) == 3
-
-    def test_deterministic_given_seed(self):
-        samples = [bench(i) for i in range(20)]
-        first = split_benchmark(samples, 0.5, seed=42)
-        second = split_benchmark(samples, 0.5, seed=42)
-        assert first == second
-
-    def test_seed_changes_assignment(self):
-        samples = [bench(i) for i in range(20)]
-        a = split_benchmark(samples, 0.5, seed=1)
-        b = split_benchmark(samples, 0.5, seed=2)
-        assert a != b
-
-    def test_partition_is_complete(self):
-        samples = [bench(i) for i in range(9)]
-        train, test = split_benchmark(samples, 0.4, seed=0)
-        assert sorted(s.id for s in train + test) == sorted(s.id for s in samples)
-
-    def test_too_few(self):
-        with pytest.raises(TooFewSamples):
-            split_benchmark([bench(0)], 0.5, seed=0)
-
-    def test_ratio_validation(self):
-        samples = [bench(i) for i in range(4)]
-        for ratio in (0.0, 1.0, -0.1):
-            with pytest.raises(ValueError):
-                split_benchmark(samples, ratio, seed=0)
 
 
 class TestSampleArchive:

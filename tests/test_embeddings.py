@@ -1,9 +1,14 @@
+import hashlib
+import math
+
 import pytest
 import requests
+from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from honest import embeddings
+from honest.confidence import analyze_program
 from honest.embeddings import (
     EmbeddingProviderConfig,
     EmbeddingVector,
@@ -14,12 +19,42 @@ from honest.embeddings import (
     prefetch,
 )
 from honest.errors import DimensionMismatch, ProviderUnavailable, ZeroVector
-from honest.model import Language, Program
+from honest.model import Language, Program, TokenSequence, tokenize
 from mock_server import EMBEDDING_INPUT_CAP
 
 
 def py(source):
     return Program(source, Language.PYTHON)
+
+
+def per_occurrence_vector(tokens, dimension):
+    """The local embedding hashed one unigram or bigram occurrence at a time,
+    as the provider was first written: the oracle for the counted version."""
+    counts = [0.0] * dimension
+    for feature in [*tokens, *(a + "\x00" + b for a, b in zip(tokens, tokens[1:]))]:
+        digest = hashlib.blake2b(feature.encode("utf-8", "surrogatepass"),
+                                 key=b"honest-localhashed-v1", digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        counts[(value >> 1) % dimension] += 1.0 if value & 1 else -1.0
+    norm = math.sqrt(sum(v * v for v in counts))
+    if norm == 0.0:
+        counts[0], norm = 1.0, 1.0
+    return EmbeddingVector(tuple(v / norm for v in counts))
+
+
+LOCAL_CONFIGS = [EmbeddingProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=d)
+                 for d in (64, 128, 256)]
+CORPUS_PROGRAMS = ([py(s) for s in PYTHON_CORPUS]
+                   + [Program(s, Language.JAVA) for s in JAVA_CORPUS])
+REQUIREMENTS = [
+    "", "!!!", "Sort a LIST of numbers!", "a a a a b b", "naïve café ß x_y",
+    "Return the sum of the even numbers in a list; return 0 for an empty list.",
+    "reverse reverse the string the string, then count count count the vowels",
+    *PYTHON_CORPUS, *JAVA_CORPUS,
+]
+# repeats, and tokens holding "\x00": "a\x00b" alone hashes like the bigram (a, b)
+TOKENS = st.lists(st.sampled_from(["a", "b", "a\x00b", "\x00", "b\x00", "\x00a", "x"])
+                  | st.text(min_size=1, max_size=4), max_size=40)
 
 
 class TestLocalHashed:
@@ -49,6 +84,49 @@ class TestLocalHashed:
         a = embed_text("sort a list of numbers", local_provider)
         b = embed_text("Sort a LIST of numbers!", local_provider)
         assert a == b  # case/punctuation-insensitive word hashing
+
+
+class TestLocalHashedOracle:
+    """Hashing each distinct n-gram once, times its count, gives bit for bit
+    the vector that hashing every occurrence gives."""
+
+    @pytest.mark.parametrize("config", LOCAL_CONFIGS, ids=lambda c: f"d{c.dimension}")
+    def test_programs(self, config):
+        for program in CORPUS_PROGRAMS:
+            want = per_occurrence_vector(tokenize(program).tokens, config.dimension)
+            assert embed(program, config) == want
+            assert analyze_program(program, config).embedding == want
+
+    @pytest.mark.parametrize("config", LOCAL_CONFIGS, ids=lambda c: f"d{c.dimension}")
+    def test_requirement_texts(self, config):
+        for text in REQUIREMENTS:
+            want = per_occurrence_vector(embeddings.text_tokens(text), config.dimension)
+            assert embed_text(text, config) == want
+
+    @given(TOKENS, st.sampled_from([64, 100, 256]))
+    @example(["a", "b", "a\x00b", "a", "b"], 64)
+    @example(["x"] * 30, 64)
+    @settings(max_examples=200, deadline=None)
+    def test_token_tuples(self, tokens, dimension):
+        got = embeddings._hashed_vector(TokenSequence(tuple(tokens)), dimension)
+        assert got == per_occurrence_vector(tokens, dimension)
+
+    def test_each_distinct_unigram_and_bigram_is_hashed_once(self, local_provider, monkeypatch):
+        calls = []
+        bucket = embeddings._bucket
+
+        def counted(feature, dimension):
+            calls.append(feature)
+            return bucket(feature, dimension)
+
+        monkeypatch.setattr(embeddings, "_bucket", counted)
+        program = py("x = x + 1\nx = x + 1\nprint(x, x)\n")
+        unigrams, bigrams = tokenize(program).ngrams[:2]
+        for embedded in (lambda: embed(program, local_provider),
+                         lambda: analyze_program(program, local_provider)):
+            calls.clear()
+            embedded()
+            assert len(calls) == len(unigrams) + len(bigrams)
 
 
 class TestRemote:
@@ -93,6 +171,24 @@ class TestRemote:
         vectors = [embed_text(t, remote("chunked")) for t in texts]
         assert mock_server.embedding_requests - before == 3
         assert vectors == [embed_text(t, remote("one-by-one")) for t in texts]
+
+    def test_each_config_gets_its_own_request_gate(self, mock_server):
+        def remote(max_in_flight):
+            return EmbeddingProviderConfig(kind=ProviderKind.REMOTE, max_in_flight=max_in_flight,
+                                           endpoint=mock_server.endpoint, model_name="gated")
+
+        assert embeddings._state_for(remote(1)).semaphore._value == 1
+        assert embeddings._state_for(remote(8)).semaphore._value == 8
+
+    def test_equal_configs_share_one_cache(self, mock_server):
+        def remote():
+            return EmbeddingProviderConfig(kind=ProviderKind.REMOTE,
+                                           endpoint=mock_server.endpoint, model_name="shared")
+
+        first = embed_text("one shared cache", remote())
+        before = mock_server.embedding_requests
+        assert embed_text("one shared cache", remote()) == first
+        assert mock_server.embedding_requests == before
 
     def test_unreachable_endpoint(self):
         config = EmbeddingProviderConfig(kind=ProviderKind.REMOTE,

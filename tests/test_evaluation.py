@@ -191,6 +191,10 @@ class TestThresholdSweep:
         assert sweep[0].threshold == pytest.approx(0.1)
         assert sweep[-1].threshold == pytest.approx(0.9)
 
+    def test_more_correct_than_total_programs_rejected(self):
+        with pytest.raises(ValueError):
+            ScoredSample(id="s", score=0.5, label=True, programs_correct=3, programs_total=2)
+
     def test_lowest_threshold_is_indiscriminate(self):
         sweep = threshold_sweep(self.sample_data())
         assert sweep[0].shown_correct == 18 + 15 + 5 + 1

@@ -66,9 +66,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             Origin(temperature=2.5)
 
+    def test_negative_sample_index_rejected(self):
+        with pytest.raises(ValueError):
+            Origin(sample_index=-1)
+
     def test_sample_set_single_language(self):
         with pytest.raises(ValueError):
             SampleSet("r", "req", (py("x = 1"), Program("int x;", Language.JAVA)))
+
+    def test_sample_set_language_is_its_programs(self):
+        java = Program("int x;", Language.JAVA)
+        assert SampleSet("r", "req", (java, java)).language is Language.JAVA
 
     def test_empty_token_rejected(self):
         with pytest.raises(ValueError):
