@@ -17,9 +17,9 @@ from .client import (
 )
 from .embeddings import (EmbeddingProviderConfig, EmbeddingVector, cosine, embed_text,
                          prefetch, text_tokens)
-from .errors import EmptyCorpus, EmptyInput, MissingLogprobs, SingleClass, UnknownDocument
+from .errors import EmptyCorpus, EmptyInput, MissingLogprobs, SingleClass
 from .evaluation import rank_auroc
-from .model import Program
+from .model import Origin, Program
 
 BM25_K1 = 1.2
 BM25_B = 0.75
@@ -27,7 +27,7 @@ BM25_B = 0.75
 K_SWEEP = (1, 3, 5, 10, 20)
 
 
-def _require_probs(records: Sequence[GenerationRecord]) -> None:
+def _require_probs(records: Sequence[GenerationRecord | Origin]) -> None:
     if not records:
         raise EmptyInput("no generation records")
     for r in records:
@@ -35,14 +35,14 @@ def _require_probs(records: Sequence[GenerationRecord]) -> None:
             raise MissingLogprobs("record without token probabilities")
 
 
-def avg_prob(records: Sequence[GenerationRecord]) -> float:
+def avg_prob(records: Sequence[GenerationRecord | Origin]) -> float:
     """Mean of all token probabilities pooled across records."""
     _require_probs(records)
     probs = [p for r in records for p in r.token_probs]
     return sum(probs) / len(probs)
 
 
-def product_prob(records: Sequence[GenerationRecord]) -> float:
+def product_prob(records: Sequence[GenerationRecord | Origin]) -> float:
     """Per-record probability product (log space), averaged across records."""
     _require_probs(records)
     products = [math.exp(sum(math.log(p) for p in r.token_probs)) for r in records]
@@ -84,13 +84,22 @@ class Bm25Index:
     labels: list[bool] = field(default_factory=list)
 
     def __post_init__(self):
-        self._term_freqs = [Counter(d) for d in self.documents]
-        self._doc_lens = [len(d) for d in self.documents]
-        df = Counter(term for tf in self._term_freqs for term in tf)
-        self.idf = {term: math.log(1.0 + (len(self.documents) - d + 0.5) / (d + 0.5))
-                    for term, d in df.items()}
-        self.avg_doc_len = (sum(self._doc_lens) / len(self.documents)
-                            if self.documents else 0.0)
+        n = len(self.documents)
+        avg_doc_len = sum(map(len, self.documents)) / n if n else 0.0
+        postings: dict[str, list[tuple[int, int, float]]] = {}
+        for doc_id, doc in enumerate(self.documents):
+            length_norm = BM25_K1 * (1.0 - BM25_B
+                                     + BM25_B * len(doc) / (avg_doc_len or 1.0))
+            for term, freq in Counter(doc).items():
+                postings.setdefault(term, []).append((doc_id, freq, length_norm))
+        # term -> (doc, the term's share of that doc's score) in corpus order;
+        # a term's document frequency is the length of its list
+        self._postings: dict[str, list[tuple[int, float]]] = {}
+        for term, docs in postings.items():
+            idf = math.log(1.0 + (n - len(docs) + 0.5) / (len(docs) + 0.5))
+            self._postings[term] = [
+                (doc_id, idf * freq * (BM25_K1 + 1) / (freq + length_norm))
+                for doc_id, freq, length_norm in docs]
 
     @classmethod
     def build(cls, requirements: Sequence[str],
@@ -101,20 +110,15 @@ class Bm25Index:
     def __len__(self) -> int:
         return len(self.documents)
 
-    def score(self, query_tokens: Sequence[str], doc_id: int) -> float:
-        if not 0 <= doc_id < len(self.documents):
-            raise UnknownDocument(str(doc_id))
-        tf = self._term_freqs[doc_id]
-        length_norm = BM25_K1 * (1.0 - BM25_B
-                                 + BM25_B * self._doc_lens[doc_id]
-                                 / (self.avg_doc_len or 1.0))
-        total = 0.0
-        for term in query_tokens:
-            freq = tf.get(term, 0)
-            if freq == 0:
-                continue
-            total += self.idf[term] * freq * (BM25_K1 + 1) / (freq + length_norm)
-        return total
+    def scores(self, requirement: str) -> list[float]:
+        """BM25 of the requirement against every stored one, in corpus order,
+        a query term at a time: each document adds its share of each query
+        token it holds, in query order, as a per-document loop would."""
+        totals = [0.0] * len(self.documents)
+        for term in text_tokens(requirement):
+            for doc_id, share in self._postings.get(term, ()):
+                totals[doc_id] += share
+        return totals
 
 
 @dataclass
@@ -135,6 +139,11 @@ class EmbeddingCorpus:
     def __len__(self) -> int:
         return len(self.vectors)
 
+    def scores(self, requirement: str) -> list[float]:
+        """Cosine of the requirement's embedding with every stored vector."""
+        query_vec = embed_text(requirement, self.provider)
+        return [cosine(query_vec, v) for v in self.vectors]
+
 
 def _ranked_labels(requirement: str,
                    index: Bm25Index | EmbeddingCorpus) -> list[bool]:
@@ -142,12 +151,7 @@ def _ranked_labels(requirement: str,
     corpus insertion order."""
     if len(index) == 0:
         raise EmptyCorpus("no stored requirements")
-    if isinstance(index, Bm25Index):
-        query = text_tokens(requirement)
-        scores = [index.score(query, i) for i in range(len(index))]
-    else:
-        query_vec = embed_text(requirement, index.provider)
-        scores = [cosine(query_vec, v) for v in index.vectors]
+    scores = index.scores(requirement)
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
     return [index.labels[i] for i in order]
 

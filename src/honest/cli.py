@@ -272,11 +272,8 @@ def _scorer(args, train: Sequence[dataset.BenchmarkSample], queries: Sequence[st
             sample_set, weights, provider).confidence, True, {})
     pool = {"avg-prob": baselines.avg_prob,
             "product-prob": baselines.product_prob}[method]
-    return (lambda _, sample_set: pool([
-        client.GenerationRecord(program=p, raw_response=p.source,
-                                token_probs=p.origin.token_probs or (),
-                                finish_reason="")
-        for p in sample_set.programs]), True, {})
+    return (lambda _, sample_set: pool([p.origin for p in sample_set.programs]),
+            True, {})
 
 
 def cmd_eval(args) -> int:

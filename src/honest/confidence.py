@@ -181,8 +181,8 @@ def tune_weights_from_modality_means(
     """Exhaustive simplex grid search maximizing training AUROC.
 
     The rows are split by label once; per grid point each row's score is
-    ``m0*a + m1*b + m2*c + m3*d``, the float sequence of a ``sum`` from 0 over
-    non-negative terms, and ``mann_whitney_auroc`` sorts the failed scores once
+    ``m0*a + m1*b + m2*c + m3*d``, added left to right over non-negative
+    terms, and ``mann_whitney_auroc`` sorts the failed scores once
     and bisects for each passed one. Its U is an exact half-integer sum, so
     every AUROC equals a rank-sum AUROC. Ties go to the lexicographically
     smallest (alpha, beta, gamma, delta).

@@ -75,10 +75,6 @@ class EmptyCorpus(HonestError):
     pass
 
 
-class UnknownDocument(HonestError):
-    pass
-
-
 # --- dataset io ---
 
 class MalformedLine(HonestError):

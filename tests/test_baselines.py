@@ -12,6 +12,7 @@ from honest.baselines import (
     Bm25Index,
     EmbeddingCorpus,
     KnnConfig,
+    _ranked_labels,
     avg_prob,
     knn_confidence,
     product_prob,
@@ -22,7 +23,7 @@ from honest.baselines import (
 )
 from honest.client import GenerationRecord, SamplingConfig
 from honest.embeddings import EmbeddingProviderConfig, ProviderKind, cosine, embed_text
-from honest.errors import EmptyCorpus, EmptyInput, MissingLogprobs, UnknownDocument
+from honest.errors import EmptyCorpus, EmptyInput, MissingLogprobs
 from honest.model import Language, Program
 
 
@@ -117,27 +118,21 @@ class TestBm25:
         idf_common = math.log(1 + 1.5 / 2.5)
         per_term = 1 * 2.2 / (1 + 1.3125)
         expected = (idf_sort + 2 * idf_common) * per_term
-        got = self.index().score(text_tokens("sort the list"), 0)
+        got = self.index().scores("sort the list")[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
     def test_disjoint_query_scores_zero(self):
-        assert self.index().score(text_tokens("unrelated words"), 0) == 0.0
+        assert self.index().scores("unrelated words")[0] == 0.0
 
     def test_matching_doc_outranks_others(self):
-        index = self.index()
-        query = text_tokens("parse json")
-        scores = [index.score(query, i) for i in range(3)]
+        scores = self.index().scores("parse json")
         assert scores[2] == max(scores)
         assert scores[2] > scores[0]
 
-    def test_unknown_document(self):
-        with pytest.raises(UnknownDocument):
-            self.index().score(["sort"], 3)
-
     def test_rare_term_has_higher_idf_weight(self):
         index = self.index()
-        rare = index.score(text_tokens("sort"), 0)
-        common = index.score(text_tokens("the"), 0)
+        rare = index.scores("sort")[0]
+        common = index.scores("the")[0]
         assert rare > common
 
 
@@ -279,9 +274,21 @@ class TestSameAsPerQueryLoops:
         reqs, labels, queries, _ = case
         index = Bm25Index.build(reqs, labels)
         for q in queries:
-            for i in range(len(index)):
-                assert index.score(text_tokens(q), i) == per_call_bm25_score(
-                    index.documents, text_tokens(q), i)
+            assert index.scores(q) == [per_call_bm25_score(index.documents, text_tokens(q), i)
+                                       for i in range(len(index))]
+
+    def test_query_without_word_tokens_scores_zero_in_corpus_order(self):
+        index = Bm25Index.build(["sort the list", "parse json", "sort"], [False, True, True])
+        assert index.scores("...") == [0.0, 0.0, 0.0]
+        assert _ranked_labels("...", index) == [False, True, True]
+
+    def test_repeated_query_term_counts_each_time(self):
+        index = Bm25Index.build(["sort sort the list", "the list", "parse json json"],
+                                [True, False, True])
+        query = "the sort the json sort sort"
+        assert index.scores(query) == [
+            per_call_bm25_score(index.documents, text_tokens(query), i) for i in range(3)]
+        assert index.scores("sort sort")[0] == 2 * index.scores("sort")[0]
 
     @pytest.mark.parametrize("kind", ["bm25", "embedding"])
     @given(case=knn_cases())

@@ -10,6 +10,7 @@ import pytest
 from corpus import PYTHON_CORPUS
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_baselines import per_call_knn, per_k_tune_k
 from test_replies import obj
 
 from honest import baselines, evaluation
@@ -19,6 +20,7 @@ from honest.dataset import (
     ArchivedProgram,
     BenchmarkSample,
     SampleArchiveEntry,
+    load_benchmark,
     load_samples,
     save_benchmark,
     save_samples,
@@ -328,6 +330,33 @@ class TestEvalCommand:
         result = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert result["auroc"] == 1.0
 
+    def test_product_prob_method(self, tmp_path, capsys):
+        bench_path, arch_path = build_fixture(tmp_path)
+        code = main(["eval", "--benchmark", str(bench_path),
+                     "--archive", str(arch_path), "--model", MODEL,
+                     "--method", "product-prob"])
+        assert code == 0
+        result = json.loads(capsys.readouterr().out)
+        labels = {s.id: s.labels[MODEL] for s in load_benchmark(bench_path)
+                  if s.split == "test"}
+        scored = [evaluation.ScoredSample(
+            id=e.id, label=labels[e.id], score=baselines.product_prob(e.programs))
+            for e in load_samples(arch_path) if e.id in labels]
+        assert (result["auroc"], result["aucpr"], result["n_samples"]) == (
+            evaluation.auroc(scored), evaluation.aucpr(scored), 4)
+
+    @pytest.mark.parametrize("method", ["avg-prob", "product-prob"])
+    def test_program_without_token_probs_is_usage_error(self, method, tmp_path, capsys):
+        bench_path, arch_path = build_fixture(tmp_path)
+        entries = load_samples(arch_path)
+        bare = ArchivedProgram(entries[5].programs[0].source, 1.0)
+        entries[5] = SampleArchiveEntry(entries[5].id, MODEL,
+                                        entries[5].programs[:2] + (bare,))
+        save_samples(entries, arch_path)
+        code = main(["eval", "--benchmark", str(bench_path),
+                     "--archive", str(arch_path), "--model", MODEL, "--method", method])
+        assert_usage_error(code, capsys.readouterr().err)
+
     def test_knn_bm25_reports_tuned_k(self, tmp_path, capsys):
         bench_path, arch_path = build_fixture(tmp_path)
         code = main(["eval", "--benchmark", str(bench_path),
@@ -570,6 +599,24 @@ class TestRemoteProvider:
         scored = [evaluation.ScoredSample(
             id=s.id, label=s.labels[MODEL], score=baselines.knn_confidence(
                 s.requirement, index, baselines.KnnConfig(k)))
+            for s in benchmark if s.split == "test"]
+        assert (result["auroc"], result["aucpr"], result["k"]) == (
+            evaluation.auroc(scored), evaluation.aucpr(scored), k)
+
+    def test_knn_bm25_equals_per_query_loops(self, tmp_path, capsys):
+        """The tuned k and the metrics equal the per-document BM25 loop and
+        the per-k tuning loop of the baseline tests."""
+        benchmark, path = self.knn_benchmark(tmp_path)
+        assert main(["eval", "--benchmark", str(path), "--model", MODEL,
+                     "--method", "knn-bm25"]) == 0
+        result = json.loads(capsys.readouterr().out)
+
+        train = [s for s in benchmark if s.split == "train"]
+        reqs, labels = [s.requirement for s in train], [s.labels[MODEL] for s in train]
+        index = baselines.Bm25Index.build(reqs, labels)
+        k = per_k_tune_k(reqs, labels, index, baselines.K_SWEEP)
+        scored = [evaluation.ScoredSample(
+            id=s.id, label=s.labels[MODEL], score=per_call_knn(s.requirement, index, k))
             for s in benchmark if s.split == "test"]
         assert (result["auroc"], result["aucpr"], result["k"]) == (
             evaluation.auroc(scored), evaluation.aucpr(scored), k)
