@@ -145,14 +145,15 @@ class EmbeddingCorpus:
         return [cosine(query_vec, v) for v in self.vectors]
 
 
-def _ranked_labels(requirement: str,
-                   index: Bm25Index | EmbeddingCorpus) -> list[bool]:
-    """The stored labels, most similar requirement first; score ties keep
-    corpus insertion order."""
+def _ranked_labels(requirement: str, index: Bm25Index | EmbeddingCorpus,
+                   held_out: int = -1) -> list[bool]:
+    """The stored labels, most similar requirement first, leaving out position
+    *held_out*; score ties keep corpus insertion order."""
     if len(index) == 0:
         raise EmptyCorpus("no stored requirements")
     scores = index.scores(requirement)
-    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    order = sorted((i for i in range(len(scores)) if i != held_out),
+                   key=lambda i: (-scores[i], i))
     return [index.labels[i] for i in order]
 
 
@@ -174,11 +175,18 @@ def knn_confidence(requirement: str, index: Bm25Index | EmbeddingCorpus,
 def tune_k(train_queries: Sequence[str], train_labels: Sequence[bool],
            index: Bm25Index | EmbeddingCorpus,
            sweep: Sequence[int] = K_SWEEP) -> int:
-    """Pick k from the sweep by training AUROC, smallest k on ties.
+    """Pick k from the sweep by leave-one-out training AUROC, smallest k on ties.
 
-    Each query is ranked against the index once; every k reads a prefix.
+    The index holds the training requirements in query order, so query q is
+    ranked against every stored requirement but position q: it cannot find
+    itself, though a copy stored elsewhere still counts. Each query is ranked
+    once; every k reads a prefix. A single requirement has no neighbour and
+    one label has no AUROC, so it gets the first k.
     """
-    ranked = [_ranked_labels(q, index) for q in train_queries]
+    if len(index) == 1:
+        return sweep[0]
+    ranked = [_ranked_labels(query, index, held_out=q)
+              for q, query in enumerate(train_queries)]
     best_k, best_score = sweep[0], -1.0
     for k in sweep:
         cfg = KnnConfig(k=k)

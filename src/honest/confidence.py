@@ -14,7 +14,7 @@ from .dataset import _open_text, write_text
 from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed, prefetch
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import mann_whitney_auroc
-from .model import Program, SampleSet, TokenSequence, lex, token_sequence
+from .model import Language, Program, SampleSet, TokenSequence, lex, token_sequence, tokenize
 from .similarity import (
     _SUM_TOL,
     SimilarityBreakdown,
@@ -56,9 +56,11 @@ class ProgramAnalysis:
 
 
 def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> ProgramAnalysis:
-    """Tokens, subtree bag, dataflow and embedding from one lexing."""
-    lexed = lex(program)
-    tokens = token_sequence(lexed)
+    """Tokens, subtree bag, dataflow and embedding from at most one Pygments
+    pass: Java's stream feeds its tokens and parse, and Python's tree and
+    dataflow come from the source, so only its tokens may need Pygments."""
+    lexed = lex(program) if program.language is Language.JAVA else None
+    tokens = tokenize(program) if lexed is None else token_sequence(lexed)
     tree, dataflow = _cst_and_dataflow(program, lexed)
     return ProgramAnalysis(
         tokens=tokens,

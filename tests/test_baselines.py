@@ -199,6 +199,30 @@ class TestKnn:
         k = tune_k(self.REQS, self.LABELS, corpus)
         assert k in (1, 3, 5, 10, 20)
 
+    def test_tune_k_leaves_each_query_out(self):
+        # ranked against itself every query's k=1 fraction is its own label
+        # (AUROC 1.0); without itself k=1 reads [0, 1, 1, 1, 1] (AUROC 0.25)
+        # and k=3 reads 1/3 everywhere (AUROC 0.5)
+        reqs = ["file json list", "tree", "sort", "list", "file"]
+        labels = [True, False, False, False, True]
+        index = Bm25Index.build(reqs, labels)
+        assert _ranked_labels(reqs[0], index, held_out=0) == [False, True, False, False]
+        assert tune_k(reqs, labels, index, sweep=(1, 3)) == 3
+
+    def test_tune_k_counts_a_copy_of_the_query(self):
+        reqs = ["parse json", "sort the list", "parse json"]
+        labels = [True, False, False]
+        index = Bm25Index.build(reqs, labels)
+        assert _ranked_labels(reqs[0], index, held_out=0) == [False, False]
+        assert _ranked_labels(reqs[2], index, held_out=2) == [True, False]
+        # k=1 reads the copy's label: [0, 1, 1] against [T, F, F], AUROC 0;
+        # k=2 reads [0, 0.5, 0.5], AUROC 0 too, so the smaller k
+        assert tune_k(reqs, labels, index, sweep=(1, 2)) == 1
+
+    def test_tune_k_single_requirement(self):
+        index = Bm25Index.build(["sort"], [True])
+        assert tune_k(["sort"], [True], index, sweep=(3, 1)) == 3
+
 
 # Local copies of the per-query loops: BM25 idf recomputed for every term of
 # every call, every k re-scoring the whole index, AUROC by pair counting.
@@ -223,7 +247,7 @@ def per_call_bm25_score(documents, query_tokens, doc_id):
     return total
 
 
-def per_call_knn(requirement, index, k):
+def per_call_knn(requirement, index, k, held_out=None):
     if isinstance(index, Bm25Index):
         query = text_tokens(requirement)
         scores = [per_call_bm25_score(index.documents, query, i)
@@ -231,8 +255,9 @@ def per_call_knn(requirement, index, k):
     else:
         query_vec = embed_text(requirement, index.provider)
         scores = [cosine(query_vec, v) for v in index.vectors]
-    k = min(k, len(index))
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    order = [i for i in order if i != held_out]
+    k = min(k, len(order))
     return sum(1 for i in order[:k] if index.labels[i]) / k
 
 
@@ -246,9 +271,14 @@ def pair_count_auroc(scores, labels):
 
 
 def per_k_tune_k(queries, labels, index, sweep):
+    """Leave-one-out: the index holds the queries in order, and query q is
+    ranked against all of it but position q."""
+    if len(index) == 1:
+        return sweep[0]
     best_k, best_score = sweep[0], -1.0
     for k in sweep:
-        score = pair_count_auroc([per_call_knn(q, index, k) for q in queries], labels)
+        score = pair_count_auroc([per_call_knn(q, index, k, held_out=i)
+                                  for i, q in enumerate(queries)], labels)
         if score > best_score:
             best_k, best_score = k, score
     return best_k
@@ -256,22 +286,20 @@ def per_k_tune_k(queries, labels, index, sweep):
 
 @st.composite
 def knn_cases(draw):
-    """A labelled corpus, and labelled training queries that repeat corpus
-    requirements (tied scores), repeat each other, or may be single-class."""
+    """A labelled corpus, which may repeat requirements or be single-class,
+    and queries that repeat corpus requirements (tied scores) or each other."""
     reqs = draw(st.lists(requirement_texts, min_size=1, max_size=8))
     labels = draw(st.lists(st.booleans(), min_size=len(reqs), max_size=len(reqs)))
     queries = draw(st.lists(st.sampled_from(reqs) | requirement_texts,
                             min_size=1, max_size=8))
-    query_labels = draw(st.lists(st.booleans(), min_size=len(queries),
-                                 max_size=len(queries)))
-    return reqs, labels, queries, query_labels
+    return reqs, labels, queries
 
 
 class TestSameAsPerQueryLoops:
     @given(knn_cases())
     @settings(max_examples=150, deadline=None)
     def test_bm25_score_equals_per_call_idf(self, case):
-        reqs, labels, queries, _ = case
+        reqs, labels, queries = case
         index = Bm25Index.build(reqs, labels)
         for q in queries:
             assert index.scores(q) == [per_call_bm25_score(index.documents, text_tokens(q), i)
@@ -294,12 +322,11 @@ class TestSameAsPerQueryLoops:
     @given(case=knn_cases())
     @settings(max_examples=100, deadline=None)
     def test_knn_and_tune_k_equal_per_k_loops(self, kind, case):
-        reqs, labels, queries, query_labels = case
+        reqs, labels, queries = case
         index = (Bm25Index.build(reqs, labels) if kind == "bm25"
                  else EmbeddingCorpus.build(reqs, labels, HASHED))
         for q in queries:
             for k in (1, 3, 50):
                 assert knn_confidence(q, index, KnnConfig(k=k)) == per_call_knn(q, index, k)
-        for sweep in (K_SWEEP, (1, 2, 3)):
-            assert (tune_k(queries, query_labels, index, sweep)
-                    == per_k_tune_k(queries, query_labels, index, sweep))
+        for sweep in (K_SWEEP, (1, 2, 3)):  # trained on the index's own requirements
+            assert tune_k(reqs, labels, index, sweep) == per_k_tune_k(reqs, labels, index, sweep)

@@ -264,22 +264,26 @@ class TestTuneWeights:
 
 class TestAnalyzeProgram:
     def test_lexes_once(self, local_provider, monkeypatch):
-        """One Pygments pass per program feeds the tokens, the tree, the
-        dataflow and the embedding. The lexer class is patched, so a second
+        """At most one Pygments pass per program: Java's feeds its tokens,
+        tree and dataflow, and Python is lexed only when the stdlib tokenizer
+        hands its tokens back. The lexer classes are patched, so a second
         lexer instance anywhere in the package would count too."""
-        for language, source in ((Language.PYTHON, PYTHON_CORPUS[4]),
-                                 (Language.JAVA, JAVA_CORPUS[1])):
-            calls = []
-            lexer_class = type(model._LEXERS[language])
-            real = lexer_class.get_tokens
+        calls = []
+        for lexer in model._LEXERS.values():
+            real = type(lexer).get_tokens
 
-            def counted(self, text, *args, real=real, calls=calls):
+            def counted(self, text, *args, real=real):
                 calls.append(text)
                 return real(self, text, *args)
 
-            monkeypatch.setattr(lexer_class, "get_tokens", counted)
+            monkeypatch.setattr(type(lexer), "get_tokens", counted)
+        for language, source, passes in (
+                (Language.PYTHON, PYTHON_CORPUS[4], 0),  # the stdlib tokenizer answers
+                (Language.PYTHON, 'def f(x):\n    return f"{x}"\n', 1),  # handed back
+                (Language.JAVA, JAVA_CORPUS[1], 1)):
+            calls.clear()
             analyze_program(Program(source, language), local_provider)
-            assert calls == [source], language
+            assert calls == [source] * passes, (language, source)
 
     def test_parses_clean_python_once(self, local_provider, monkeypatch):
         calls = []

@@ -1,7 +1,20 @@
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_analysis import bench_python_sources
 
-from honest.model import Language, Origin, Program, SampleSet, TokenSequence, tokenize
+from honest.model import (
+    Language,
+    Origin,
+    Program,
+    SampleSet,
+    TokenSequence,
+    _python_tokens,
+    lex,
+    token_sequence,
+    tokenize,
+)
 
 
 def py(source):
@@ -43,6 +56,119 @@ class TestTokenize:
     def test_no_empty_tokens_in_corpus(self):
         for source in PYTHON_CORPUS:
             assert all(tokenize(py(source)).tokens)
+
+
+def pygments_tokens(source):
+    return token_sequence(lex(py(source))).tokens
+
+
+# Where the stdlib tokenizer and Pygments part ways: Pygments' tokens written
+# out, which the fast path either reproduces or hands back to Pygments.
+REPRODUCED = [
+    # the operator rule runs over adjacent operators: "<=" "=" and "->" ">"
+    ("x = a<==b\n", ("x", "=", "a", "<", "==", "b")),
+    ("a->>b\n", ("a", "-", ">>", "b")),
+    ("a @=b\n", ("a", "@", "=", "b")),
+    # "@" glues to a following name
+    ("@dec\ndef f(): pass\n", ("@dec", "def", "f", "(", ")", ":", "pass")),
+    ("a@b\n", ("a", "@b")),
+    # "yield from" is one keyword with exactly one space, after "." too
+    ("yield from x\n", ("yield from", "x")),
+    ("yield  from x\n", ("yield", "from", "x")),
+    ("x.yield from y\n", ("x", ".", "yield from", "y")),
+    # adjacent string literals are one string
+    ("'a''b'\n", ("'a''b'",)),
+]
+HANDED_BACK = [
+    # text outside printable ASCII, tab and newline, and a backslash-newline
+    ("x = '\u00e9'\n", ("x", "=", "'\u00e9'")),
+    ("x = 1\r\ny = 2\n", ("x", "=", "1", "y", "=", "2")),
+    ("x = 1\fy\n", ("x", "=", "1", "y")),
+    ("x = 1\vy\n", ("x", "=", "1", "y")),
+    ("x = 1\0\n", ("x", "=", "1", "\0")),
+    ("x = 1 + \\\n    2\n", ("x", "=", "1", "+", "\\", "2")),
+    # the stdlib tokenizer fails, or reads a token type Pygments splits
+    ("x = (1,\n", ("x", "=", "(", "1", ",")),
+    ("x = 'a\ny = 2\n", ("x", "=", "'a", "y", "=", "2")),
+    ("print(f'{x}')\n", ("print", "(", "f'{", "x", "}'", ")")),
+    # Pygments' docstring rule ignores escapes
+    ('"""a\\"""b"""\n', ('"""a\\"""b"""\n',)),
+    ("s = 'It\\'s'\n", ("s", "=", "'It\\'s'")),
+    # an escape or format field reaching past the string's closing quote
+    ("x = '\\N{' + '}'\n", ("x", "=", "'\\N{' + '}'")),
+    ("x = '{a[' + ']}'\n", ("x", "=", "'{a[' + ']}'")),
+    # names lexed in states of their own after def, class, from, import and @
+    ("def rb'z'\n", ("def", "rb", "'z'")),
+    ("@rb'z'\n", ("@rb", "'z'")),
+    ("class\n'x'\n", ("class", "'", "x", "'")),
+    ("import os\nclass 'x'\n", ("import", "os", "class", "'", "x", "'")),
+    ("from .5 import x\n", ("from", ".", "5", "import", "x")),
+    ("import rb'x'\n", ("import", "rb", "'x'")),
+    ("import yield from x\n", ("import", "yield", "from", "x")),
+    # string prefixes Pygments takes and Python does not
+    ("t'x'\n", ("t'x'",)),
+    ("ub'''x'''\n", ("ub'''x'''",)),
+    # numbers Pygments' ordered rules read differently, and numbers or names
+    # right after a token they may run into
+    ("x = 10j\n", ("x", "=", "10", "j")),
+    ("x = 1.5j\n", ("x", "=", "1.5", "j")),
+    ("...0\n", (".", ".", ".0")),
+    ("x = 1.2.3\n", ("x", "=", "1.2", ".3")),
+    ("x = 'a'1\n", ("x", "=", "'a'", "1")),
+    ("x = 1if 1 else 2\n", ("x", "=", "1", "if", "1", "else", "2")),
+    ("'a'if 1 else 2\n", ("'a'", "if", "1", "else", "2")),
+    # a line opening with match or case, where Pygments splits "x_"
+    ("match x:\n    case x_: pass\n", ("match", "x", ":", "case", "x", "_", ":", "pass")),
+]
+
+# pieces of every case above, for the property
+PIECES = ["def ", "class ", "from ", "import ", "yield", " from", "yield from ", "match ",
+          "case ", "_", "x_", "@", "@=", "@dec", "a", "rb", "ub", "t", "u", "r", "br", "'a'",
+          '"b"', "r'\\d'", "b'x'", "'''q'''", '"""d"""', "'", '"', "\\", "\\'", '\\"', "\\N{",
+          "{", "}", "{a[", "]}", "{:", "%", "%s", "(", ")", "[", "]", ":", "=", "==", "<", ">",
+          "<=", ">>", "<<", "!", "!=", "-", "->", "*", "**", "/", ".", "...", ",", ";", "~",
+          ":=", "0", "1", "10j", "1.5", ".5", "0777", "0x1F", "1e5", "1_0", "j", "None", "as",
+          "if", "print", "f'{x}'", "# c", "\n", "\n    ", " ", "  ", "\t", "$", "\r", "\f",
+          "\0", "\u00e9"]
+
+
+@st.composite
+def mutated_corpus_programs(draw):
+    source = draw(st.sampled_from(PYTHON_CORPUS))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(source)))
+        cut = draw(st.integers(0, 3))
+        source = source[:at] + draw(st.sampled_from(PIECES)) + source[at + cut:]
+    return source
+
+
+class TestPythonTokens:
+    """The stdlib tokenizer's path gives Pygments' tokens or hands back."""
+
+    @pytest.mark.parametrize("source, tokens", REPRODUCED)
+    def test_reproduces_pygments(self, source, tokens):
+        assert pygments_tokens(source) == tokens
+        assert _python_tokens(source) == tokens
+
+    @pytest.mark.parametrize("source, tokens", HANDED_BACK)
+    def test_hands_back(self, source, tokens):
+        assert pygments_tokens(source) == tokens
+        assert _python_tokens(source) is None
+        assert tokenize(py(source)).tokens == tokens
+
+    def test_corpus_takes_the_fast_path(self):
+        for source in PYTHON_CORPUS:
+            assert _python_tokens(source) == pygments_tokens(source), source
+
+    def test_benchmark_programs(self):
+        for source in bench_python_sources():
+            assert _python_tokens(source) in (None, pygments_tokens(source)), source
+
+    @given(source=st.one_of(st.lists(st.sampled_from(PIECES), max_size=30).map("".join),
+                            mutated_corpus_programs()))
+    @settings(max_examples=500, deadline=None)
+    def test_pygments_or_handed_back(self, source):
+        assert _python_tokens(source) in (None, pygments_tokens(source))
 
 
 class TestTypes:
