@@ -72,12 +72,40 @@ class DataflowGraph:
 # Python parsing
 
 
-# Held by the recovery loop, which is ast.parse calls but for a list deletion
-# each: CPython 3.11's ast.parse can raise "SystemError: AST constructor
+# Held by the recovery loop, which is ast.parse calls and list work between
+# them: CPython 3.11's ast.parse can raise "SystemError: AST constructor
 # recursion depth mismatch" while another thread is inside it (gh-106905), and
 # catch_warnings swaps the process-wide filter list, so threads entering it
 # together leave each other's filters behind.
 _AST_PARSE_LOCK = threading.Lock()
+
+
+def _opens_statement(line: str) -> bool:
+    """Whether ``line`` starts a top-level statement that cannot continue the one
+    above it: it starts at column 0 (so it is not empty, indented or a comment)
+    and does not open an ``else``, ``elif``, ``except`` or ``finally`` clause."""
+    return (line[:1] not in " \t\f#"
+            and not line.startswith(("else", "elif", "except", "finally")))
+
+
+def _clean_prefix(lines: list[str]) -> bool:
+    """Whether ``lines`` parse alone and a "=" line after them is the first error
+    the parser reports, as plain "invalid syntax".
+
+    The second check is needed because a failed parse is parsed again from line 1
+    by CPython's error-reporting pass, and that pass can fault a valid statement:
+    it reads the call ``match(x)`` as a match statement missing its ':'. No
+    statement starts with "=", so only such a fault gets reported before it."""
+    text = "\n".join(lines)
+    try:
+        ast.parse(text)
+    except (SyntaxError, RecursionError, MemoryError, UnicodeEncodeError):
+        return False
+    try:
+        ast.parse(text + "\n=")
+    except SyntaxError as exc:
+        return exc.msg == "invalid syntax" and exc.lineno == len(lines) + 1
+    return False  # a "=" line never parses
 
 
 def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
@@ -88,21 +116,52 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     Always ends: once every line is dropped, the empty source parses. Nesting
     too deep for ``ast.parse`` (RecursionError; MemoryError from its fixed stack)
     or a lone surrogate it cannot encode gives an empty module, every line dropped.
+
+    Each attempt parses only the lines from the top of a stack of marks, so a
+    drop costs the distance from that mark to the error, not the whole file. A
+    mark is a line that opens a top-level statement (``_opens_statement``) after
+    a clean prefix (``_clean_prefix``, checked from the mark below it): an error
+    in the whole text then lies at or after the mark, on the line the parse from
+    the mark names. From the second drop on, the last line before the error's
+    that opens a statement is checked and, if its prefix is clean, becomes a
+    mark. Lines an earlier drop looked at are skipped, so damage that leaves no
+    clean prefix (an unclosed bracket) costs no rescans and about one failed
+    check per surviving line. A mark whose own line is dropped is popped unless
+    the line now there opens a statement too. Once the lines from a mark parse,
+    the whole text is parsed once more, so the module is a parse of every
+    surviving line; should that fail, recovery goes on from line 1.
     """
     lines = source.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-    dropped = 0
+    dropped, marks, seen = 0, [0], 0
     with _AST_PARSE_LOCK, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "1if" warns
         while True:
+            mark = marks[-1]
             try:
-                return ast.parse("\n".join(lines)), dropped
+                module = ast.parse("\n".join(lines[mark:]))
             except SyntaxError as exc:
                 # a NUL byte fails the whole source and names no line
-                line = exc.lineno or next((i + 1 for i, s in enumerate(lines) if "\0" in s), 1)
-                del lines[min(line, len(lines)) - 1]
+                line = exc.lineno or next(
+                    (i + 1 for i, s in enumerate(lines[mark:]) if "\0" in s), 1)
+                at = mark + min(line, len(lines) - mark) - 1
+                del lines[at]
                 dropped += 1
+                if mark and at == mark < len(lines) and not _opens_statement(lines[at]):
+                    marks.pop()
+                if dropped > 1:  # a program with one bad line costs two parses
+                    # lines up to seen were looked at by an earlier drop
+                    top = marks[-1]
+                    new = next((i for i in range(at - 1, max(top, seen), -1)
+                                if _opens_statement(lines[i])), None)
+                    seen = at - 1
+                    if new is not None and _clean_prefix(lines[top:new]):
+                        marks.append(new)
             except (RecursionError, MemoryError, UnicodeEncodeError):
                 return ast.Module([], []), dropped + len(lines)
+            else:
+                if not mark:
+                    return module, dropped
+                marks = [0]  # parse the whole text: it parses, unless a mark was wrong
 
 
 def _convert_py(module: ast.Module, dropped: int) -> CstNode:

@@ -19,6 +19,7 @@ from honest import analysis
 from honest.analysis import (
     _JAVA_DECL_KINDS,
     CstNode,
+    _convert_py,
     _head_kind,
     _java_tokens,
     _parse_python_ast,
@@ -527,8 +528,8 @@ def _count_kind_iterative(tree, kind):
     return count
 
 
-# Too deep for ast.parse: RecursionError for the first two, MemoryError (its
-# fixed parser stack) for the last.
+# Too deep for ast.parse up to CPython 3.12: RecursionError for the first two,
+# which 3.13 parses, and MemoryError (its fixed parser stack) for the last.
 DEEP_PYTHON = {"minus": "x = " + "-" * 3000 + "y", "plus": "x = " + "a + " * 3000 + "b",
                "minus-8000": "x = " + "-" * 8000 + "y"}
 # (source, nesting depth) that ast.parse accepts; the last two nest past the
@@ -548,12 +549,33 @@ def test_deep_python_that_ast_parses_keeps_tree_and_edges(source, depth):
     assert extract_dataflow(program).edges == Counter({("y", "x"): 1})
 
 
+def _ast_parses(source):
+    try:
+        ast.parse(source)
+    except (RecursionError, MemoryError):
+        return False
+    return True
+
+
 class TestDeepPythonNesting:
-    @pytest.mark.parametrize("source", DEEP_PYTHON.values(), ids=DEEP_PYTHON.keys())
-    def test_every_line_dropped(self, source):
-        program = py(source + "\nz = 1\n")
+    # the edges of a DEEP_PYTHON chain that ast.parse accepts
+    PARSED_EDGES = {"minus": Counter({("y", "x"): 1}),
+                    "plus": Counter({("a", "x"): 3000, ("b", "x"): 1})}
+
+    @pytest.mark.parametrize("name", DEEP_PYTHON)
+    def test_every_line_dropped(self, name):
+        """Every line is dropped where ast.parse rejects the nesting. That limit is
+        the interpreter's, not the package's: 3.13 accepts the 3000-deep chains,
+        and the program then keeps its tree and edges. The 8000-deep chain
+        overflows the parser's stack on 3.11 to 3.13, and drops every line."""
+        program = py(DEEP_PYTHON[name] + "\nz = 1\n")
+        tree = parse_cst(program)
+        if name in self.PARSED_EDGES and _ast_parses(DEEP_PYTHON[name]):
+            assert _count_kind_iterative(tree, "ERROR") == 0
+            assert extract_dataflow(program).edges == self.PARSED_EDGES[name]
+            return
         error = CstNode("ERROR")
-        assert parse_cst(program) == CstNode("Module", (error, error))
+        assert tree == CstNode("Module", (error, error))
         assert extract_dataflow(program).edges == Counter()
 
     @pytest.mark.parametrize(
@@ -576,18 +598,41 @@ def seed_convert_py(node):
     return CstNode(type(node).__name__, tuple(children))
 
 
+def seed_parse_python_ast(source):
+    """The line-drop recovery as first written: every attempt parses from line 1."""
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
+    dropped = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        while True:
+            try:
+                return ast.parse("\n".join(lines)), dropped
+            except SyntaxError as exc:
+                line = exc.lineno or next((i + 1 for i, s in enumerate(lines) if "\0" in s), 1)
+                del lines[min(line, len(lines)) - 1]
+                dropped += 1
+            except (RecursionError, MemoryError, UnicodeEncodeError):
+                return ast.Module([], []), dropped + len(lines)
+
+
 def seed_python_cst(source):
-    module, dropped = _parse_python_ast(source)
+    """The Python tree as first built: the seed recovery, the recursive conversion."""
+    module, dropped = seed_parse_python_ast(source)
     tree = seed_convert_py(module)
     return CstNode(tree.kind, tree.children + (CstNode("ERROR"),) * dropped)
 
 
-def bench_python_sources():
-    """The benchmark's agreement, diverse and hostile Python sets, seeds 0-2."""
+def bench_gen():
     spec = importlib.util.spec_from_file_location(
         "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def bench_python_sources():
+    """The benchmark's agreement, diverse and hostile Python sets, seeds 0-2."""
+    gen = bench_gen()
     sources = []
     for seed in range(3):
         rng = random.Random(seed)
@@ -597,14 +642,47 @@ def bench_python_sources():
     return list(dict.fromkeys(sources))
 
 
+def _preorder(tree):
+    """(kind, child count) of each node, in pre-order: equal lists, equal trees.
+    Compared this way because == on CstNodes recurses once per level."""
+    walk, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        walk.append((node.kind, len(node.children)))
+        stack += reversed(node.children)
+    return walk
+
+
+# Lines that broke early versions of the recovery that resumes from marks: a
+# column-0 line dropped with indented lines below it, calls that CPython's
+# error-reporting pass reads as soft-keyword statements, clauses and a decorator
+# at column 0 that continue the statement above, a class header whose "):" sits
+# at column 0, the benchmark's bad line, a NUL byte and nesting too deep to parse.
+_DAMAGE_LINES = st.sampled_from([
+    "x = = 1", "def broken(:", "    ) broken_k = = k (", "match(x)", "case(1)", "type(x)",
+    "else:", "except E:", "@d", "class A(\n    B\n):", "class A(", "    B", "):",
+    "def f():", "if x:", "try:", "    pass", "    y = x", "        z = y", "a\0b",
+    *DEEP_PYTHON.values()])
+damaged_python = st.tuples(
+    st.lists(st.one_of(_DAMAGE_LINES, _py_statements), max_size=12),
+    st.sampled_from(["\n", "\r\n", "\r"])).map(lambda p: "\n".join(p[0]).replace("\n", p[1]))
+
+
 class TestPythonConversionIterative:
+    """The package's Python trees equal ``seed_python_cst``'s: the recovery that
+    resumes from marks drops the lines the seed loop drops, and the iterative
+    conversion builds the tree the recursive one builds."""
+
     # ast shares operator nodes such as ast.Add between parents
     SHARED_OPERATORS = ["x = a + b + c", "y = -a - b", "x = a + b + c\ny = -a - b\ndef f(:\n"]
 
     def test_same_tree_as_recursive_conversion(self):
+        gen = bench_gen()
+        long_programs = [gen.long_python(random.Random(s), 300, 85) for s in range(3)]
         sources = [*PYTHON_CORPUS, *(s for s, _ in PYTHON_DATAFLOW_ORACLE),
-                   *self.SHARED_OPERATORS, *bench_python_sources()]
+                   *self.SHARED_OPERATORS, *bench_python_sources(), *long_programs]
         for source in sources:
+            assert _parse_python_ast(source)[1] == seed_parse_python_ast(source)[1], source
             assert parse_cst(py(source)) == seed_python_cst(source), source
 
     @given(source=st.one_of(program_text, python_programs))
@@ -612,14 +690,35 @@ class TestPythonConversionIterative:
     def test_same_tree_on_any_text(self, source):
         assert parse_cst(py(source)) == seed_python_cst(source)
 
+    @given(source=damaged_python)
+    # a dropped mark line that left an indented line at the mark, and a call
+    # read as a match statement by the error-reporting pass
+    @example(source="if x:\n    pass\nclass A(\n    B\nif x:\ndef broken(:")
+    @example(source="match(x)\nclass A(\nif x:\n    y = x\n    B\ncase(1)\n):")
+    @settings(max_examples=300, deadline=None)
+    def test_same_drops_on_damaged_text(self, source):
+        module, dropped = _parse_python_ast(source)
+        seed_module, seed_dropped = seed_parse_python_ast(source)
+        assert dropped == seed_dropped
+        assert _preorder(_convert_py(module, dropped)) == _preorder(
+            _convert_py(seed_module, seed_dropped))
+
 
 @pytest.mark.parametrize("source, drops, parses", [
     ("a = 1\nb = a\n", 0, 1),
-    ("a = 1\ndef broken(:\nb = a\nx = = 2\nc = a + b\n", 2, 3),
+    # no mark is sought before the second drop: one failed parse, one that succeeds
+    ("a = 1\nx = = 2\nb = a\n", 1, 2),
+    # two failed parses; the second drop makes "b = a" a mark, after two checks
+    # that "a = 1" is a clean prefix (it parses; "a = 1\n=" errs at the "=");
+    # the lines from the mark parse, then the whole text parses once more
+    ("a = 1\ndef broken(:\nb = a\nx = = 2\nc = a + b\n", 2, 6),
     # a form feed breaks no line, for Python or for recovery: one failed parse,
     # one drop, one parse that succeeds
     ("x = 1\f\ny = = 2\nz = x\n", 1, 2),
-], ids=["clean", "two-bad-lines", "form-feed"])
+    # four failed parses and one that succeeds; "d" is checked once, at the
+    # second drop, and fails ("x = {" does not parse), then is not checked again
+    ("x = {\nd\n)\n)\n)\n", 4, 6),
+], ids=["clean", "one-bad-line", "two-bad-lines", "form-feed", "unclosed-bracket"])
 def test_parse_count(source, drops, parses, monkeypatch):
     calls = []
     parse = analysis.ast.parse
@@ -631,6 +730,18 @@ def test_parse_count(source, drops, parses, monkeypatch):
     monkeypatch.setattr(analysis.ast, "parse", counting_parse)
     assert _parse_python_ast(source)[1] == drops
     assert len(calls) == parses
+
+
+def test_long_damaged_program_recovers_in_bounded_time():
+    """Recovery resumes from its marks, so a drop costs about the distance
+    between errors, not the file: the seed loop, which parses every attempt from
+    line 1, takes over 15 s on this program (CPython 3.11, 2 vCPU)."""
+    source = bench_gen().long_python(random.Random(0), 2460, 1200)
+    assert source.count("\n") == 3745
+    start = time.perf_counter()
+    tree = parse_cst(py(source))
+    assert time.perf_counter() - start < 10
+    assert _count_kind_iterative(tree, "ERROR") == 1200  # each inserted bad line
 
 
 class TestPythonLineBreaks:
