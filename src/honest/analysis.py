@@ -28,9 +28,6 @@ class CstNode(NamedTuple):
     kind: str
     children: tuple["CstNode", ...] = ()
 
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(frozen=True)
 class SubtreeBag:
@@ -164,23 +161,82 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
                 marks = [0]  # parse the whole text: it parses, unless a mark was wrong
 
 
-def _convert_py(module: ast.Module, dropped: int) -> CstNode:
+# node type -> (read field, written field, names of the written field that are
+# also read): one edge set per target of an Assign, whose written field is a
+# list; an AugAssign's target feeds its new value. A field holding None
+# (AnnAssign without value, withitem without "as") adds no edge.
+_PY_BINDINGS = {
+    ast.Assign: ("value", "targets", ast.Load),
+    ast.AugAssign: ("value", "target", ast.Store),
+    ast.AnnAssign: ("value", "target", None),
+    ast.NamedExpr: ("value", "target", None),
+    ast.For: ("iter", "target", None),
+    ast.AsyncFor: ("iter", "target", None),
+    ast.withitem: ("context_expr", "optional_vars", None),
+    ast.comprehension: ("iter", "target", None),
+}
+
+
+def _convert_py(module: ast.Module, dropped: int, edges: Counter | None = None) -> CstNode:
     """``module`` as a CstNode, with one ERROR leaf per dropped line after the
-    surviving nodes. A pre-order walk on an explicit stack, then a stack of built
-    nodes: nesting depth is bounded by memory, not by the recursion limit."""
-    walk, stack = [], [module]
+    surviving nodes; its def-use edges are added to ``edges``.
+
+    One pre-order walk on an explicit stack, then a stack of built nodes:
+    nesting depth is bounded by memory, not by the recursion limit. The walk
+    lists the names it meets, in its order, with their Load or Store context; a
+    name called directly is no read and is left out. Each read or written field
+    of a binding is walked between two marks, which record where that field's
+    names start and end in the list, so the edges are read off after the walk.
+    """
+    edges = Counter() if edges is None else edges
+    walk, stack, names, called, marks, bindings = [], [module], [], set(), [], []
     while stack:
         node = stack.pop()
-        children = [c for c in ast.iter_child_nodes(node)
-                    if not isinstance(c, ast.expr_context)]  # Load/Store add no structure
-        walk.append((type(node).__name__, len(children)))
-        stack += children  # the last child is walked first
+        kind = type(node)
+        if kind is int:  # a mark
+            marks[node] = len(names)
+            continue
+        if kind is ast.Name:  # a leaf: Load/Store add no structure
+            walk.append(("Name", 0))
+            if id(node) not in called:
+                names.append((node.id, type(node.ctx)))
+            continue
+        children = []
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if type(value) is list:
+                children += [c for c in value if isinstance(c, ast.AST)]
+            elif isinstance(value, ast.AST) and not isinstance(value, ast.expr_context):
+                children.append(value)
+        walk.append((kind.__name__, len(children)))
+        if kind is ast.Call:
+            called.add(id(node.func))
+        elif kind in _PY_BINDINGS:
+            read, written, also_read = _PY_BINDINGS[kind]
+            read, written = getattr(node, read), getattr(node, written)
+            if read is not None and written is not None:
+                fields = [read, *written] if type(written) is list else [read, written]
+                at = {id(f): len(marks) + 2 * k for k, f in enumerate(fields)}
+                bindings.append((len(marks), len(fields), also_read))
+                marks += [0, 0] * len(fields)
+                # the last child is walked first, so a field's start mark pops
+                # just before it and its end mark just after its last descendant
+                children = [x for c in children for x in (
+                    (at[id(c)] + 1, c, at[id(c)]) if id(c) in at else (c,))]
+        stack += children
     built: list[CstNode] = []
     for kind, count in reversed(walk):
         # a node's children were built just before it, first child deepest
         start = len(built) - count
         built[start:] = [CstNode(kind, tuple(built[start:]))]
     (root,) = built
+    for first, count, also_read in bindings:
+        spans = [names[marks[m]:marks[m + 1]] for m in range(first, first + 2 * count, 2)]
+        loads = [n for n, ctx in spans[0] if ctx is ast.Load]
+        for span in spans[1:]:
+            writes = [n for n, ctx in span if ctx is ast.Store]
+            reads = loads + [n for n, ctx in span if ctx is also_read]
+            edges.update((r, w) for w in writes for r in reads)
     return CstNode(root.kind, root.children + (CstNode("ERROR"),) * dropped)
 
 
@@ -323,75 +379,37 @@ def parse_cst(program: Program) -> CstNode:
     return _cst_and_dataflow(program)[0]
 
 
-def _fingerprint(node: CstNode, height: int) -> str:
-    if height == 0 or node.is_leaf():
-        return node.kind
-    return node.kind + "(" + ")(".join(
-        _fingerprint(c, height - 1) for c in node.children) + ")"
-
-
 def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> SubtreeBag:
     """One fingerprint per internal node: its kind plus descendant kinds down
-    to the given height, serialized canonically. Position-independent."""
+    to the given height, serialized canonically. Position-independent.
+
+    Built bottom-up over a pre-order walk, as ``_convert_py`` builds nodes: a
+    node's fingerprint of height h + 1 joins its children's of height h, and a
+    leaf's is its kind at every height."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    bag: Counter = Counter()
-    stack = [tree]
+    walk, stack = [], [tree]
     while stack:
         node = stack.pop()
-        if not node.is_leaf():
-            bag[_fingerprint(node, height)] += 1
-            stack.extend(node.children)
+        walk.append(node)
+        stack += node.children
+    bag: Counter = Counter()
+    prints: list[list[str]] = []  # of each node built, its fingerprints of height 0..height-1
+    for kind, children in reversed(walk):
+        if not children:
+            prints.append([kind] * height)
+            continue
+        start = len(prints) - len(children)
+        # the children's fingerprints of each height, first child first
+        node_prints = [kind, *(kind + "(" + ")(".join(row) + ")"
+                               for row in zip(*prints[start:]))]
+        bag[node_prints.pop()] += 1
+        prints[start:] = [node_prints]
     return SubtreeBag(bag)
 
 
 # ---------------------------------------------------------------------------
 # Dataflow extraction
-
-
-def _names(node: ast.AST, ctx: type) -> list[str]:
-    """Names under ``node`` in context ``ctx``; a name called directly is no read."""
-    nodes = list(ast.walk(node))
-    called = {id(n.func) for n in nodes if isinstance(n, ast.Call)}
-    return [n.id for n in nodes if isinstance(n, ast.Name)
-            and isinstance(n.ctx, ctx) and id(n) not in called]
-
-
-# node type -> (read field, written field) of the other binding forms; a field
-# holding None (AnnAssign without value, withitem without "as") adds no edge
-_PY_BINDINGS = {
-    ast.AnnAssign: ("value", "target"),
-    ast.NamedExpr: ("value", "target"),
-    ast.For: ("iter", "target"),
-    ast.AsyncFor: ("iter", "target"),
-    ast.withitem: ("context_expr", "optional_vars"),
-    ast.comprehension: ("iter", "target"),
-}
-
-
-def _python_dataflow(module: ast.Module) -> Counter:
-    """One loop over ``ast.walk``, so no interpreter frame per nesting level."""
-    edges: Counter = Counter()
-    for node in ast.walk(module):
-        kind = type(node)
-        if kind is ast.Assign:
-            reads = _names(node.value, ast.Load)
-            pairs = [(reads + _names(t, ast.Load), _names(t, ast.Store))
-                     for t in node.targets]
-        elif kind is ast.AugAssign:
-            writes = _names(node.target, ast.Store)
-            # the previous value of the target feeds the new one
-            pairs = [(_names(node.value, ast.Load) + writes, writes)]
-        elif kind in _PY_BINDINGS:
-            read, written = (getattr(node, field) for field in _PY_BINDINGS[kind])
-            if read is None or written is None:
-                continue
-            pairs = [(_names(read, ast.Load), _names(written, ast.Store))]
-        else:
-            continue
-        for reads, writes in pairs:
-            edges.update((r, w) for w in writes for r in reads)
-    return edges
 
 
 def _java_assignment(seg: list[tuple[str, str]]) -> tuple[str | None, list[str]]:
@@ -443,6 +461,7 @@ def _cst_and_dataflow(program: Program,
     source (with its error recovery), or Java's ``lexed`` (``lex(program)`` if None)."""
     if program.language is Language.PYTHON:
         module, dropped = _parse_python_ast(program.source)
-        return _convert_py(module, dropped), DataflowGraph(_python_dataflow(module))
+        edges: Counter = Counter()
+        return _convert_py(module, dropped, edges), DataflowGraph(edges)
     tokens = _java_tokens(lex(program) if lexed is None else lexed)
     return _parse_java(tokens), DataflowGraph(_java_dataflow(tokens))

@@ -11,7 +11,6 @@ from typing import Sequence
 from .client import (
     CODE_JUDGE_PROMPT,
     REQUIREMENT_JUDGE_PROMPT,
-    GenerationRecord,
     SamplingConfig,
     ask_yes_no,
 )
@@ -27,25 +26,25 @@ BM25_B = 0.75
 K_SWEEP = (1, 3, 5, 10, 20)
 
 
-def _require_probs(records: Sequence[GenerationRecord | Origin]) -> None:
-    if not records:
+def _require_probs(origins: Sequence[Origin]) -> None:
+    if not origins:
         raise EmptyInput("no generation records")
-    for r in records:
-        if not r.token_probs:
+    for o in origins:
+        if not o.token_probs:
             raise MissingLogprobs("record without token probabilities")
 
 
-def avg_prob(records: Sequence[GenerationRecord | Origin]) -> float:
-    """Mean of all token probabilities pooled across records."""
-    _require_probs(records)
-    probs = [p for r in records for p in r.token_probs]
+def avg_prob(origins: Sequence[Origin]) -> float:
+    """Mean of all token probabilities pooled across the programs' origins."""
+    _require_probs(origins)
+    probs = [p for o in origins for p in o.token_probs]
     return sum(probs) / len(probs)
 
 
-def product_prob(records: Sequence[GenerationRecord | Origin]) -> float:
-    """Per-record probability product (log space), averaged across records."""
-    _require_probs(records)
-    products = [math.exp(sum(math.log(p) for p in r.token_probs)) for r in records]
+def product_prob(origins: Sequence[Origin]) -> float:
+    """Per-program probability product (log space), averaged across programs."""
+    _require_probs(origins)
+    products = [math.exp(sum(math.log(p) for p in o.token_probs)) for o in origins]
     return sum(products) / len(products)
 
 

@@ -92,7 +92,6 @@ class SamplingConfig:
 class GenerationRecord:
     program: Program
     raw_response: str
-    token_probs: tuple[float, ...]
     finish_reason: str
 
 
@@ -189,7 +188,6 @@ def _record(choice: dict, language: Language, temperature: float,
                       unfenced=_FENCE_RE.search(raw) is None),
     )
     return GenerationRecord(program=program, raw_response=raw,
-                            token_probs=probs,
                             finish_reason=choice.get("finish_reason", ""))
 
 

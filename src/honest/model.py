@@ -2,20 +2,16 @@
 
 Every analysis in the package works over these immutable values. Tokens are
 Pygments' lexical tokens, so comments are dropped and string literals survive
-as single tokens; for Python they are read from the stdlib tokenizer wherever
-that is proven to give the same tokens.
+as single tokens; for Python they are read from one regular-expression scan
+wherever that is proven to give the same tokens.
 """
 from __future__ import annotations
 
-import io
 import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
-from tokenize import (COMMENT, DEDENT, ENDMARKER, INDENT, NAME, NEWLINE, NL, NUMBER, OP,
-                      STRING, TokenError, generate_tokens)
 from typing import Optional
 
 from pygments.lexers import JavaLexer, PythonLexer
@@ -69,7 +65,7 @@ MAX_NGRAM_ORDER = 4
 
 
 def ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tuple(tokens[k:k + n]) for k in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 @dataclass(frozen=True)
@@ -148,53 +144,71 @@ def token_sequence(lexed: Lexed) -> TokenSequence:
     return TokenSequence(tuple(tokens))
 
 
-# Text the stdlib tokenizer and Pygments may read apart: anything but printable
-# ASCII, tab and newline, and a backslash-newline.
+# Text the scan and Pygments may read apart: anything but printable ASCII, tab
+# and newline, and a backslash-newline.
 _UNSAFE_TEXT = re.compile(r"[^\t\n -~]|\\\n")
+# The token patterns of the pure-Python tokenizer (stdlib ``tokenize`` up to
+# CPython 3.11), kept here so every interpreter scans alike. A token is matched
+# with the whitespace after it, so no match is tried inside whitespace. Strings
+# come before names (a string prefix is letters) and numbers before operators
+# (".5"). A triple quote always opens a triple-quoted string; single-quoted ones
+# end on their line. Operators match longest first; any other character is an
+# error.
+_PREFIX = "(?:[rR][bBfF]?|[bBfF][rR]?|[uU])?"
+_DIGITS = r"[0-9](?:_?[0-9])*"
+_FLOAT = (rf"(?:{_DIGITS}\.(?:{_DIGITS})?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?"
+          rf"|{_DIGITS}[eE][-+]?{_DIGITS}")
+_SCAN = re.compile("(?:" + "|".join([
+    rf"(?P<STRING>{_PREFIX}(?:'''[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''"
+    r'|"""[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""'
+    r"|'(?!'')[^\n'\\]*(?:\\.[^\n'\\]*)*'"
+    r'|"(?!"")[^\n"\\]*(?:\\.[^\n"\\]*)*"))',
+    r"(?P<NAME>[A-Za-z_]\w*)",
+    rf"(?P<NUMBER>{_DIGITS}[jJ]|(?:{_FLOAT})[jJ]|{_FLOAT}|0[xX](?:_?[0-9a-fA-F])+"
+    r"|0[bB](?:_?[01])+|0[oO](?:_?[0-7])+|0(?:_?0)*|[1-9](?:_?[0-9])*)",
+    r"(?P<OP>\*\*=|//=|>>=|<<=|\.\.\.|\*\*|//|>>|<<|->|:=|[-+*/%&|^@=<>!]="
+    r"|[-+*/%&|^@=<>~:;,.()\[\]{}])",
+    r"(?P<COMMENT>#[^\n]*)",
+    r"(?P<ERROR>\S)",
+]) + r")[ \t\n]*")
 # Pygments' Python operator rule over a run of adjacent operator characters.
 _OPERATOR_RUN = re.compile(r"!=|==|<<|>>|:=|.")
-# Pygments' number rules, tried in order, and its in-string format fields.
-_NUMBER_RULES = [re.compile(rule) for rule, _ in PythonLexer.tokens["numbers"]]
+# Pygments' number rules as one pattern (the first that matches wins, as in
+# Pygments), and its in-string format fields.
+_NUMBER_RULE = re.compile("|".join(f"(?:{rule})" for rule, _ in PythonLexer.tokens["numbers"]))
 _FIELD_RULES = [re.compile(rule) for rule, kind in PythonLexer.tokens["strings-single"]
                 if kind is String.Interpol]
-_LAYOUT = {NL, NEWLINE, INDENT, DEDENT, ENDMARKER}
 
 
 def _python_tokens(source: str) -> tuple[str, ...] | None:
-    """``token_sequence(lex(p)).tokens`` of a Python program, read from the
-    stdlib tokenizer, or None where the two lexers may read the text apart.
+    """``token_sequence(lex(p)).tokens`` of a Python program, read from one
+    ``_SCAN`` of the source, or None where the two lexers may read the text apart.
 
     Pygments splits operator runs its own way, glues ``@`` to a following
     name, ``yield from`` into one keyword and adjacent string literals into
     one string; those are reproduced. After ``def``, ``class``, ``from`` and
     ``import`` it lexes names in states of their own, which the loop follows
     loosely (``after`` for the next token, ``importing`` over names, dots and
-    commas) to hand back what those states would read differently.
+    commas) to hand back what those states would read differently. Brackets
+    that do not balance hand the program back too, as the pure-Python
+    tokenizer fails on them; indentation is not read.
     """
     if _UNSAFE_TEXT.search(source):
         return None
-    line_starts = list(accumulate((len(line) + 1 for line in source.split("\n")), initial=0))
-    try:
-        stream = list(generate_tokens(io.StringIO(source).readline))
-    except (TokenError, SyntaxError):
-        return None
     out: list[str] = []
     prev_kind, prev_text, prev_end = None, "", -1
-    after, importing = None, False
-    for tok in stream:
-        kind, text = tok.type, tok.string
-        if kind in _LAYOUT:
-            continue
-        start = line_starts[tok.start[0] - 1] + tok.start[1]
-        end = line_starts[tok.end[0] - 1] + tok.end[1]
+    after, importing, depth = None, False, 0
+    for tok in _SCAN.finditer(source):
+        kind, text = tok.lastgroup, tok.group(tok.lastindex)
+        start, end = tok.span(tok.lastindex)
         glued = start == prev_end
-        if kind != NAME and after == "class" or kind not in (NAME, NUMBER, STRING, OP, COMMENT):
+        if kind == "ERROR" or kind != "NAME" and after == "class":
             return None
-        if kind == NAME:
-            if (glued and prev_kind in (NUMBER, STRING)
+        if kind == "NAME":
+            if (glued and prev_kind in ("NUMBER", "STRING")
                     or (after or importing) and text == "yield"
                     or text in ("match", "case")
-                    and not source[line_starts[tok.start[0] - 1]:start].strip()):
+                    and not source[source.rfind("\n", 0, start) + 1:start].strip()):
                 return None
             if glued and prev_text == "@":
                 out[-1] += text
@@ -203,40 +217,40 @@ def _python_tokens(source: str) -> tuple[str, ...] | None:
                 out[-1] = "yield from"
             else:
                 out.append(text)
-        elif kind == NUMBER:
-            if (glued and (prev_kind in (NAME, NUMBER, STRING) or prev_text.endswith("."))
+        elif kind == "NUMBER":
+            if (glued and (prev_kind in ("NAME", "NUMBER", "STRING") or prev_text.endswith("."))
                     or (after or importing) and text[0] == "."
-                    or next((m.end() for rule in _NUMBER_RULES
-                             if (m := rule.match(source, start))), None) != end):
+                    or _NUMBER_RULE.match(source, start).end() != end):
                 return None
             out.append(text)
-        elif kind == STRING:
+        elif kind == "STRING":
             prefix = text[:text.index(text[-1])]
             fields = (rule.match(source, start + at.start())
                       for at in re.finditer("[%{]", text) for rule in _FIELD_RULES)
             if ("f" in prefix.lower() or "\\'" in text or '\\"' in text or "\\N{" in text
-                    or glued and prev_kind == NAME
+                    or glued and prev_kind == "NAME"
                     or prefix and (after or importing or glued and prev_text == "@")
                     or any(m and m.end() > end for m in fields)):
                 return None
-            if glued and prev_kind == STRING:
+            if glued and prev_kind == "STRING":
                 out[-1] += text
             else:
                 out.append(text)
-        elif kind == OP:
-            run = out.pop() + text if glued and prev_kind == OP else text
+        elif kind == "OP":
+            depth += (text in "([{") - (text in ")]}")
+            run = out.pop() + text if glued and prev_kind == "OP" else text
             out.extend(_OPERATOR_RUN.findall(run))
-        importing = (kind == NAME and (importing or text in ("from", "import"))
-                     or importing and kind == OP and text in (".", "...", ","))
-        after = text if kind == NAME and text in ("def", "class") else None
+        importing = (kind == "NAME" and (importing or text in ("from", "import"))
+                     or importing and kind == "OP" and text in (".", "...", ","))
+        after = text if kind == "NAME" and text in ("def", "class") else None
         prev_kind, prev_text, prev_end = kind, text, end
-    return tuple(out)
+    return tuple(out) if depth == 0 else None
 
 
 def tokenize(program: Program) -> TokenSequence:
     """A program's lexical tokens; deterministic for a fixed (source, language).
-    Python comes from the stdlib tokenizer unless ``_python_tokens`` hands it
-    back to Pygments."""
+    Python comes from ``_python_tokens``' scan unless it hands the program back
+    to Pygments."""
     if program.language is Language.PYTHON:
         tokens = _python_tokens(program.source)
         if tokens is not None:

@@ -15,7 +15,7 @@ from corpus import JAVA_CORPUS, PYTHON_CORPUS
 
 from honest.baselines import avg_prob
 from honest.cli import main
-from honest.client import GenerationRecord, SamplingConfig
+from honest.client import SamplingConfig
 from honest.confidence import (
     ProgramAnalysis,
     estimate_confidence,
@@ -25,7 +25,7 @@ from honest.confidence import (
 from honest.dataset import BenchmarkSample, save_benchmark
 from honest.evaluation import ScoredSample, aucpr, auroc, threshold_sweep
 from honest.gate import Verdict, decide
-from honest.model import Language, Program, SampleSet, TokenSequence, tokenize
+from honest.model import Language, Origin, Program, SampleSet, TokenSequence, tokenize
 from honest.similarity import (
     SimilarityBreakdown,
     SimilarityWeights,
@@ -289,11 +289,8 @@ def _synthetic_sets(n_programs=5, per_class=40):
     return passed, failed
 
 
-def _flat_prob_records(count=5):
-    program = Program("x = 1", Language.PYTHON)
-    return [GenerationRecord(program=program, raw_response="",
-                             token_probs=(0.8,) * 10, finish_reason="stop")
-            for _ in range(count)]
+def _flat_prob_origins(count=5):
+    return [Origin(token_probs=(0.8,) * 10) for _ in range(count)]
 
 
 @criterion("synthetic-separability")
@@ -309,7 +306,7 @@ def test_synthetic_separability(local_provider):
                                    label=ss.requirement_id.startswith("pass")))
     estimator_auroc = auroc(scored)
 
-    flat = [ScoredSample(id=s.id, score=avg_prob(_flat_prob_records()),
+    flat = [ScoredSample(id=s.id, score=avg_prob(_flat_prob_origins()),
                          label=s.label) for s in scored]
     baseline_auroc = auroc(flat)  # flat probabilities cannot rank anything
 
@@ -448,7 +445,7 @@ def test_live_endpoint(tmp_path):
     records = sample_records("Write a function that reverses a string.",
                              Language.PYTHON, config)
     assert len(records) == 20
-    assert any(r.token_probs for r in records)
+    assert any(r.program.origin.token_probs for r in records)
     preset = SamplingConfig(endpoint=endpoint, model=model,
                             seed_mode=SeedMode.FIXED_SCHEDULE)
     preset_records = sample_records("Write a function that adds two numbers.",

@@ -21,38 +21,36 @@ from honest.baselines import (
     text_tokens,
     tune_k,
 )
-from honest.client import GenerationRecord, SamplingConfig
+from honest.client import SamplingConfig
 from honest.embeddings import EmbeddingProviderConfig, ProviderKind, cosine, embed_text
 from honest.errors import EmptyCorpus, EmptyInput, MissingLogprobs
-from honest.model import Language, Program
+from honest.model import Language, Origin, Program
 
 
-def record(*probs):
-    program = Program("x = 1", Language.PYTHON)
-    return GenerationRecord(program=program, raw_response="",
-                            token_probs=tuple(probs), finish_reason="stop")
+def origin(*probs):
+    return Origin(token_probs=tuple(probs) or None)
 
 
 class TestProbabilityPooling:
     def test_avg_prob_pooled_mean(self):
         # pooled over all tokens: (0.5 + 0.5 + 1.0) / 3
-        assert avg_prob([record(0.5, 0.5), record(1.0)]) == pytest.approx(2 / 3)
+        assert avg_prob([origin(0.5, 0.5), origin(1.0)]) == pytest.approx(2 / 3)
 
     def test_product_prob_per_record_then_mean(self):
         # (0.5*0.5 + 0.8) / 2
-        assert product_prob([record(0.5, 0.5), record(0.8)]) == pytest.approx(0.525)
+        assert product_prob([origin(0.5, 0.5), origin(0.8)]) == pytest.approx(0.525)
 
     def test_single_record(self):
-        assert avg_prob([record(0.2, 0.4)]) == pytest.approx(0.3)
-        assert product_prob([record(0.2, 0.4)]) == pytest.approx(0.08)
+        assert avg_prob([origin(0.2, 0.4)]) == pytest.approx(0.3)
+        assert product_prob([origin(0.2, 0.4)]) == pytest.approx(0.08)
 
     def test_product_long_sequence_no_underflow_error(self):
-        value = product_prob([record(*([0.9] * 200))])
+        value = product_prob([origin(*([0.9] * 200))])
         assert value == pytest.approx(0.9 ** 200, rel=1e-9)
         assert value > 0.0
 
     def test_product_extreme_sequence_underflows_to_zero(self):
-        assert product_prob([record(*([0.5] * 3000))]) == 0.0
+        assert product_prob([origin(*([0.5] * 3000))]) == 0.0
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -62,13 +60,13 @@ class TestProbabilityPooling:
 
     def test_missing_logprobs(self):
         with pytest.raises(MissingLogprobs):
-            avg_prob([record(0.5), record()])
+            avg_prob([origin(0.5), origin()])
 
     @given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_product_never_exceeds_avg_for_one_record(self, probs):
         # the product of values in (0, 1] is at most their minimum, hence mean
-        r = [record(*probs)]
+        r = [origin(*probs)]
         assert product_prob(r) <= avg_prob(r) + 1e-12
 
 

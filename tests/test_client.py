@@ -75,8 +75,9 @@ class TestSampling:
     def test_token_probs_are_probabilities(self, mock_server):
         records = sample_records("sort a list", Language.PYTHON, config(mock_server))
         for record in records:
-            assert record.token_probs
-            assert all(0.0 < p <= 1.0 for p in record.token_probs)
+            probs = record.program.origin.token_probs
+            assert probs
+            assert all(0.0 < p <= 1.0 for p in probs)
 
     def test_stable_prompt_yields_identical_programs(self, mock_server):
         ss = sample_programs("STABLE reverse a string", Language.PYTHON,

@@ -139,12 +139,11 @@ def _self_calls(tree):
 
 
 def test_no_function_recurses():
-    """Recursion per nesting level of the input fails on deep programs. Only
-    ``_fingerprint`` may recurse: its depth is the subtree height."""
+    """Recursion per nesting level of the input fails on deep programs, so no
+    function calls itself."""
     recursive = {f"{p.name}: {name}" for p in sorted(SRC.glob("*.py"))
                  for name in _self_calls(ast.parse(p.read_text(), filename=str(p)))}
-    unbounded = recursive - {"analysis.py: _fingerprint"}
-    assert not unbounded, f"functions that call themselves: {', '.join(sorted(unbounded))}"
+    assert not recursive, f"functions that call themselves: {', '.join(sorted(recursive))}"
 
 
 def _top_level_imports(tree):

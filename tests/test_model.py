@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from honest.model import (
     TokenSequence,
     _python_tokens,
     lex,
+    ngram_counts,
     token_sequence,
     tokenize,
 )
@@ -132,6 +135,10 @@ PIECES = ["def ", "class ", "from ", "import ", "yield", " from", "yield from ",
           "\0", "\u00e9"]
 
 
+# how many distinct ``bench_python_sources()`` programs ``_python_tokens`` hands back
+BENCH_PROGRAMS_HANDED_BACK = 1
+
+
 @st.composite
 def mutated_corpus_programs(draw):
     source = draw(st.sampled_from(PYTHON_CORPUS))
@@ -164,11 +171,28 @@ class TestPythonTokens:
         for source in bench_python_sources():
             assert _python_tokens(source) in (None, pygments_tokens(source)), source
 
+    def test_benchmark_programs_handed_back(self):
+        """The scan is the package's own, so every interpreter hands back the
+        same benchmark programs."""
+        handed_back = [s for s in bench_python_sources() if _python_tokens(s) is None]
+        assert len(handed_back) == BENCH_PROGRAMS_HANDED_BACK
+
     @given(source=st.one_of(st.lists(st.sampled_from(PIECES), max_size=30).map("".join),
                             mutated_corpus_programs()))
     @settings(max_examples=500, deadline=None)
     def test_pygments_or_handed_back(self, source):
         assert _python_tokens(source) in (None, pygments_tokens(source))
+
+
+@given(tokens=st.lists(st.sampled_from(["a", "b", "=", "("]), max_size=8).map(tuple),
+       n=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_ngram_counts_equal_slices(tokens, n):
+    """Counts and key order of the slice-built Counter, also for fewer than n tokens."""
+    counts = ngram_counts(tokens, n)
+    sliced = Counter(tuple(tokens[k:k + n]) for k in range(len(tokens) - n + 1))
+    assert counts == sliced
+    assert list(counts) == list(sliced)
 
 
 class TestTypes:
