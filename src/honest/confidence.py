@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass
-from functools import lru_cache
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -14,13 +13,17 @@ from .dataset import _open_text, write_text
 from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed, prefetch
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import mann_whitney_auroc
-from .model import Language, Program, SampleSet, TokenSequence, lex, token_sequence, tokenize
+from .model import (MAX_NGRAM_ORDER, Language, Program, SampleSet, TokenSequence, lex,
+                    token_sequence, tokenize)
 from .similarity import (
     _SUM_TOL,
     SimilarityBreakdown,
     SimilarityWeights,
     _overlap,
     clipped_ratio,
+    level_masks,
+    masked_overlap,
+    masked_text_overlaps,
     sim_embed,
     sim_hybrid,
     text_overlaps,
@@ -28,6 +31,12 @@ from .similarity import (
 )
 
 GRID_STEP = 0.05
+# Distinct programs from which a set's clipped overlaps come from level masks.
+# Building the masks costs a few passes over each program's keys, which pays
+# off only once each program meets enough others. On random sets of the
+# benchmark's short, ~30-line and damaged programs, masks took 0.62-1.18 times
+# the per-pair walks' CPU time at 10 distinct programs and 0.60-0.95 at 12.
+MASKED_FROM = 12
 
 
 @dataclass(frozen=True)
@@ -47,12 +56,14 @@ class TuningResult:
 @dataclass(frozen=True, eq=False)
 class ProgramAnalysis:
     """Everything the pairwise similarities need, computed once per program.
-    Equal and hashed by identity only."""
+    Equal and hashed by identity only. ``in_set`` is the pair table of the
+    set the program was analysed in and its index there (see ``_one_set``)."""
 
     tokens: TokenSequence
     subtree_bag: SubtreeBag
     dataflow: DataflowGraph
     embedding: EmbeddingVector
+    in_set: Optional[tuple[_PairTable, int]] = None
 
 
 def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> ProgramAnalysis:
@@ -70,20 +81,63 @@ def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> Prog
     )
 
 
-def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
-    """The n-gram, subtree and edge overlaps and the cosine of a pair: the same
-    for both orders, so the pair's reverse right after reuses them."""
-    return _terms_in_id_order(*sorted((a_i, a_j), key=id))
-
-
-# Keyed on the two analyses themselves (hashed by identity) and holding them,
-# so no other pair can take their ids; a racing thread can only miss.
-@lru_cache(maxsize=1)
-def _terms_in_id_order(a: ProgramAnalysis, b: ProgramAnalysis) -> tuple:
+def _fresh_terms(a: ProgramAnalysis, b: ProgramAnalysis) -> tuple:
     return (text_overlaps(a.tokens, b.tokens),
             _overlap(a.subtree_bag.entries, b.subtree_bag.entries),
             _overlap(a.dataflow.edges, b.dataflow.edges),
             sim_embed(a.embedding, b.embedding))
+
+
+class _PairTable:
+    """The symmetric terms of each unordered pair of one set's distinct
+    programs, computed once and kept for the pair's other order. From
+    ``MASKED_FROM`` programs on, the overlaps come from level masks, built on
+    the first pair for all of the set's programs at once."""
+
+    def __init__(self, analyses: Sequence[ProgramAnalysis]):
+        self.analyses = analyses
+        self.masks: Optional[list[tuple]] = None
+        self.terms: dict[tuple[int, int], tuple] = {}
+
+    def pair(self, p: int, q: int) -> tuple:
+        key = (p, q) if p <= q else (q, p)
+        terms = self.terms.get(key)
+        if terms is None:
+            terms = self.terms[key] = self._compute(*key)
+        return terms
+
+    def _compute(self, p: int, q: int) -> tuple:
+        a, b = self.analyses[p], self.analyses[q]
+        if len(self.analyses) < MASKED_FROM:
+            return _fresh_terms(a, b)
+        if self.masks is None:
+            self.masks = list(zip(
+                zip(*(level_masks([x.tokens.ngrams[n] for x in self.analyses])
+                      for n in range(MAX_NGRAM_ORDER))),
+                level_masks([x.subtree_bag.entries for x in self.analyses]),
+                level_masks([x.dataflow.edges for x in self.analyses])))
+        (ngrams_a, bag_a, edges_a), (ngrams_b, bag_b, edges_b) = self.masks[p], self.masks[q]
+        return (masked_text_overlaps(ngrams_a, ngrams_b),
+                masked_overlap(bag_a, bag_b),
+                masked_overlap(edges_a, edges_b),
+                sim_embed(a.embedding, b.embedding))
+
+
+def _one_set(analyses: Sequence[ProgramAnalysis]) -> list[ProgramAnalysis]:
+    """The analyses of one set's distinct programs, each holding the set's
+    pair table and its index in it. The table holds the analyses as given,
+    not these, so the set's objects form no reference cycle."""
+    table = _PairTable(analyses)
+    return [replace(a, in_set=(table, x)) for x, a in enumerate(analyses)]
+
+
+def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
+    """The n-gram, subtree and edge overlaps and the cosine of a pair: the same
+    for both orders, so within one set a pair computes them once. Analyses
+    from no set, or from two, compute them afresh."""
+    if a_i.in_set and a_j.in_set and a_i.in_set[0] is a_j.in_set[0]:
+        return a_i.in_set[0].pair(a_i.in_set[1], a_j.in_set[1])
+    return _fresh_terms(a_i, a_j)
 
 
 def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,
@@ -120,9 +174,9 @@ def _pairs(samples: SampleSet, weights: SimilarityWeights,
     first: dict[str, int] = {}
     keys = [first.setdefault(p.source, k) for k, p in enumerate(samples.programs)]
     prefetch(list(first), provider)
-    analyses = {k: analyze_program(samples.programs[k], provider)
-                for k in first.values()}
-    distinct = list(analyses)
+    distinct = list(first.values())
+    analyses = dict(zip(distinct, _one_set(
+        [analyze_program(samples.programs[k], provider) for k in distinct])))
     memo: dict[tuple[int, int], SimilarityBreakdown] = {}
     for x, ki in enumerate(distinct):
         for kj in distinct[x + 1:]:

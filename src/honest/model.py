@@ -189,15 +189,14 @@ def _python_tokens(source: str) -> tuple[str, ...] | None:
     one string; those are reproduced. After ``def``, ``class``, ``from`` and
     ``import`` it lexes names in states of their own, which the loop follows
     loosely (``after`` for the next token, ``importing`` over names, dots and
-    commas) to hand back what those states would read differently. Brackets
-    that do not balance hand the program back too, as the pure-Python
-    tokenizer fails on them; indentation is not read.
+    commas) to hand back what those states would read differently. Neither
+    lexer matches brackets or reads indentation.
     """
     if _UNSAFE_TEXT.search(source):
         return None
     out: list[str] = []
     prev_kind, prev_text, prev_end = None, "", -1
-    after, importing, depth = None, False, 0
+    after, importing = None, False
     for tok in _SCAN.finditer(source):
         kind, text = tok.lastgroup, tok.group(tok.lastindex)
         start, end = tok.span(tok.lastindex)
@@ -237,14 +236,13 @@ def _python_tokens(source: str) -> tuple[str, ...] | None:
             else:
                 out.append(text)
         elif kind == "OP":
-            depth += (text in "([{") - (text in ")]}")
             run = out.pop() + text if glued and prev_kind == "OP" else text
             out.extend(_OPERATOR_RUN.findall(run))
         importing = (kind == "NAME" and (importing or text in ("from", "import"))
                      or importing and kind == "OP" and text in (".", "...", ","))
         after = text if kind == "NAME" and text in ("def", "class") else None
         prev_kind, prev_text, prev_end = kind, text, end
-    return tuple(out) if depth == 0 else None
+    return tuple(out)
 
 
 def tokenize(program: Program) -> TokenSequence:

@@ -7,13 +7,20 @@ overlaps, are symmetric, and so is the cosine. So each of those three
 modalities is a symmetric overlap (``text_overlaps``, ``_overlap``) and an
 ordered ratio step (``text_ratio``, ``clipped_ratio``) that takes the
 overlap and both sizes; the overlaps of a pair serve both of its orders.
+
+A set of many programs has all of its overlaps read off level masks
+instead: ``level_masks`` interns each key of the set once and turns each
+multiset into one int, and ``masked_overlap`` of two of them is the
+popcount of their AND, an integer equal to ``_overlap``'s. Building the
+masks costs a few passes over each program's keys, so the confidence stage
+takes this form only for sets with enough distinct programs.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from .analysis import DataflowGraph, SubtreeBag
 from .embeddings import EmbeddingVector, cosine
@@ -72,19 +79,76 @@ def _overlap(counts_i: Counter, counts_j: Counter) -> int:
     return total
 
 
-def text_overlaps(seq_i: TokenSequence, seq_j: TokenSequence) -> tuple[int, ...]:
-    """Clipped n-gram overlaps for orders 1, 2, ... of ``TokenSequence.ngrams``;
-    symmetric.
-
-    Stops after the first zero: an (n+1)-gram shared by both sequences starts
-    with a shared n-gram, so every higher order overlaps by zero too.
-    """
-    overlaps = []
-    for ci, cj in zip(seq_i.ngrams, seq_j.ngrams):
-        overlaps.append(_overlap(ci, cj))
-        if overlaps[-1] == 0:
+def _until_zero(overlaps: Iterable[int]) -> tuple[int, ...]:
+    """The n-gram overlaps of orders 1, 2, ..., up to and including the first
+    zero: an (n+1)-gram shared by both sequences starts with a shared n-gram,
+    so every higher order overlaps by zero too."""
+    out = []
+    for overlap in overlaps:
+        out.append(overlap)
+        if overlap == 0:
             break
-    return tuple(overlaps)
+    return tuple(out)
+
+
+def text_overlaps(seq_i: TokenSequence, seq_j: TokenSequence) -> tuple[int, ...]:
+    """Clipped n-gram overlaps for orders 1, 2, ... of ``TokenSequence.ngrams``,
+    up to the first zero; symmetric."""
+    return _until_zero(map(_overlap, seq_i.ngrams, seq_j.ngrams))
+
+
+# One byte translation table per plane p of eight levels: the byte of a key
+# held c times has bit u set when c > 8p + u.
+_PLANES = [bytes(8 * p + 1) + b"\x01\x03\x07\x0f\x1f\x3f\x7f" + b"\xff" * (248 - 8 * p)
+           for p in range(32)]
+
+LevelMask = tuple[int, Optional[dict]]
+
+
+def level_masks(multisets: Sequence[Counter]) -> list[LevelMask]:
+    """The level masks of a set's multisets, over the set's keys interned once.
+
+    Each key gets a dense id i in order of first appearance. With K keys in
+    the set, bit 8(K*p + i) + u of a multiset's int is set when the multiset
+    holds key i more than t = 8p + u times: level t of key i. Eight levels of
+    a key share a byte, and plane p's bytes are one ``bytes.translate`` of the
+    multiset's count bytes. Counts above 255 fill every plane, and the rest
+    of each (count - 255) is kept in a dict, None when there is none.
+    """
+    ids: dict = {}
+    setdefault = ids.setdefault
+    keyed = [[setdefault(key, len(ids)) for key in counts] for counts in multisets]
+    masks = []
+    for counts, idx in zip(multisets, keyed):
+        held = bytearray(len(ids))
+        top = max(counts.values(), default=0)
+        excess = None
+        if top > 255:
+            excess = {key: count - 255 for key, count in counts.items() if count > 255}
+            top = 255
+        for i, count in zip(idx, counts.values()):
+            held[i] = count if count < 255 else 255
+        planes = b"".join([held.translate(_PLANES[p]) for p in range((top + 7) // 8)])
+        masks.append((int.from_bytes(planes, "little"), excess))
+    return masks
+
+
+def masked_overlap(mask_i: LevelMask, mask_j: LevelMask) -> int:
+    """``_overlap`` of two multisets from their ``level_masks`` of one set:
+    levels nest, so the set bits both masks share count min(count_i, count_j)
+    of each key up to 255, and the excess dicts add the rest."""
+    (bits_i, excess_i), (bits_j, excess_j) = mask_i, mask_j
+    total = (bits_i & bits_j).bit_count()
+    if excess_i and excess_j:
+        total += _overlap(excess_i, excess_j)
+    return total
+
+
+def masked_text_overlaps(masks_i: Sequence[LevelMask],
+                         masks_j: Sequence[LevelMask]) -> tuple[int, ...]:
+    """``text_overlaps`` from the two sequences' n-gram ``level_masks``, one
+    per order."""
+    return _until_zero(map(masked_overlap, masks_i, masks_j))
 
 
 def text_ratio(overlaps: Sequence[int], size_i: int, size_j: int) -> float:

@@ -32,7 +32,7 @@ from honest.confidence import (
 from honest.errors import DegenerateLabels, HonestError, TooFewSamples
 from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed
 from honest.evaluation import ScoredSample, auroc, rank_auroc
-from honest.model import Language, Program, SampleSet, lex, tokenize
+from honest.model import MAX_NGRAM_ORDER, Language, Program, SampleSet, lex, tokenize
 from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
 
 
@@ -471,7 +471,9 @@ class TestDistinctPrograms:
 
 class TestPairStage:
     """Each unordered pair of distinct sources has its symmetric terms (the
-    n-gram, subtree and edge overlaps and the cosine) computed once."""
+    n-gram, subtree and edge overlaps and the cosine) computed once, by
+    per-pair walks or, from ``MASKED_FROM`` distinct programs on, from level
+    masks built once per set."""
 
     @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS[:8]),
                                                  (Language.JAVA, JAVA_CORPUS)],
@@ -499,11 +501,20 @@ class TestPairStage:
         monkeypatch.setattr(similarity, "_overlap", counted("ngrams", similarity._overlap))
         monkeypatch.setattr(confidence, "_overlap", counted("multiset", confidence._overlap))
         monkeypatch.setattr(similarity, "cosine", counted("cosine", similarity.cosine))
+        monkeypatch.setattr(confidence, "level_masks", counted("masks", confidence.level_masks))
+        monkeypatch.setattr(confidence, "masked_text_overlaps",
+                            counted("masked text", confidence.masked_text_overlaps))
+        monkeypatch.setattr(similarity, "masked_overlap",
+                            counted("masked ngrams", similarity.masked_overlap))
+        monkeypatch.setattr(confidence, "masked_overlap",
+                            counted("masked multiset", confidence.masked_overlap))
         samples = SampleSet("req-1", "a requirement",
                             tuple(Program(s, language) for s in corpus))
-        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
-
         pairs = len(corpus) * (len(corpus) - 1) // 2
+        assert len(corpus) < confidence.MASKED_FROM
+
+        # below MASKED_FROM programs, each pair walks its multisets
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
         bags = {id(a.subtree_bag.entries) for a in analyses}
         edges = {id(a.dataflow.edges) for a in analyses}
         kinds = Counter(name for name, _ in calls)
@@ -512,33 +523,89 @@ class TestPairStage:
         assert sum(1 for name, first in calls if name == "multiset" and id(first) in edges) == pairs
         assert kinds["multiset"] == 2 * pairs
         assert pairs <= kinds["ngrams"] <= 4 * pairs
+        assert not any(name.startswith("mask") for name in kinds)
+
+        # from MASKED_FROM on, each multiset of each analysis is masked once,
+        # all in one go, and each pair reads its overlaps off the masks
+        monkeypatch.setattr(confidence, "MASKED_FROM", 2)
+        analyses.clear()
+        calls.clear()
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+        multisets = [m for a in analyses
+                     for m in (*a.tokens.ngrams, a.subtree_bag.entries, a.dataflow.edges)]
+        built = [m for name, first in calls if name == "masks" for m in first]
+        kinds = Counter(name for name, _ in calls)
+        assert kinds["masks"] == MAX_NGRAM_ORDER + 2
+        assert sorted(map(id, built)) == sorted(map(id, multisets))
+        assert kinds["masked text"] == kinds["cosine"] == pairs
+        assert kinds["masked multiset"] == 2 * pairs
+        assert pairs <= kinds["masked ngrams"] <= 4 * pairs
+        assert kinds["text"] == kinds["multiset"] == kinds["ngrams"] == 0
 
     def test_reverse_call_reuses_terms_and_equals_fresh_formulas(self, local_provider,
                                                                  monkeypatch):
-        a, b = (analyze_program(py(s), local_provider) for s in PYTHON_CORPUS[:2])
+        loose = [analyze_program(py(s), local_provider) for s in PYTHON_CORPUS[:2]]
         weights = SimilarityWeights.uniform()
         fresh = []
-        real = confidence.text_overlaps
 
-        def counted(seq_i, seq_j):
-            fresh.append({seq_i, seq_j})
-            return real(seq_i, seq_j)
+        def counted(name, real):
+            def call(x, y):
+                fresh.append(name)
+                return real(x, y)
+            return call
 
-        monkeypatch.setattr(confidence, "text_overlaps", counted)
-        # the forward call computes, its reverse and a repeat of the pair
-        # reuse, and a different pair computes its own
-        computed = []
-        for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 1, a, b),
-                               (0, 0, a, a)):
-            bd = pair_breakdown(i, j, a_i, a_j, weights)
-            computed.append(len(fresh))
-            assert (bd.text, bd.syntax, bd.dataflow, bd.embedding) == (
-                sim_text(a_i.tokens, a_j.tokens),
-                sim_syntax(a_i.subtree_bag, a_j.subtree_bag),
-                sim_dataflow(a_i.dataflow, a_j.dataflow),
-                sim_embed(a_i.embedding, a_j.embedding))
-        assert computed == [1, 1, 1, 1, 2]
-        assert fresh == [{a.tokens, b.tokens}, {a.tokens}]
+        monkeypatch.setattr(confidence, "text_overlaps",
+                            counted("walks", confidence.text_overlaps))
+        monkeypatch.setattr(confidence, "masked_text_overlaps",
+                            counted("masks", confidence.masked_text_overlaps))
+        for form, masked_from in (("walks", confidence.MASKED_FROM), ("masks", 2)):
+            monkeypatch.setattr(confidence, "MASKED_FROM", masked_from)
+            a, b = confidence._one_set(loose)
+            fresh.clear()
+            # within one set, the forward call computes, its reverse and a
+            # repeat of the pair reuse, and a different pair computes its own
+            computed = []
+            for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 1, a, b),
+                                   (0, 0, a, a)):
+                bd = pair_breakdown(i, j, a_i, a_j, weights)
+                computed.append(len(fresh))
+                assert (bd.text, bd.syntax, bd.dataflow, bd.embedding) == (
+                    sim_text(a_i.tokens, a_j.tokens),
+                    sim_syntax(a_i.subtree_bag, a_j.subtree_bag),
+                    sim_dataflow(a_i.dataflow, a_j.dataflow),
+                    sim_embed(a_i.embedding, a_j.embedding))
+            assert computed == [1, 1, 1, 1, 2]
+            assert fresh == [form, form]
+        # analyses from no set walk the pair on every call
+        fresh.clear()
+        for _ in range(2):
+            pair_breakdown(0, 1, *loose, weights)
+        assert fresh == ["walks", "walks"]
+
+    @pytest.mark.parametrize("distinct", [confidence.MASKED_FROM - 1, confidence.MASKED_FROM])
+    def test_both_forms_equal_around_the_threshold(self, distinct, local_provider, monkeypatch):
+        samples = sample_set(PYTHON_CORPUS[:distinct] + PYTHON_CORPUS[:3])
+        built = []
+        real = confidence.level_masks
+
+        def counted(multisets):
+            built.append(len(multisets))
+            return real(multisets)
+
+        def run():
+            return ([estimate_confidence(samples, w, local_provider).confidence.hex()
+                     for w in (SimilarityWeights.uniform(),
+                               SimilarityWeights(0.4, 0.3, 0.2, 0.1))]
+                    + [m.hex() for m in modality_means(samples, local_provider)])
+
+        monkeypatch.setattr(confidence, "level_masks", counted)
+        chosen = run()
+        assert bool(built) == (distinct >= confidence.MASKED_FROM)
+        monkeypatch.setattr(confidence, "MASKED_FROM", 2)
+        masks = run()
+        monkeypatch.setattr(confidence, "MASKED_FROM", distinct + 1)
+        walks = run()
+        assert chosen == masks == walks
 
     def test_threads_equal_serial_runs(self, local_provider):
         """Threads share the one-entry cache of the last pair's terms; one that

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from honest.analysis import DataflowGraph, SubtreeBag, extract_dataflow, extract_subtrees, parse_cst
 from honest.embeddings import EmbeddingVector, embed
 from honest.errors import ComponentOutOfRange
-from honest.model import Language, Program, TokenSequence, tokenize
+from honest.model import MAX_NGRAM_ORDER, Language, Program, TokenSequence, tokenize
 from honest.similarity import (
     SimilarityWeights,
     _overlap,
+    level_masks,
+    masked_overlap,
+    masked_text_overlaps,
     sim_dataflow,
     sim_embed,
     sim_hybrid,
     sim_syntax,
     sim_text,
+    text_overlaps,
 )
 
 
@@ -306,3 +310,39 @@ class TestBitIdenticalToSeedFormulas:
         small = Counter({"x": 3, "y": 1})
         large = Counter({"x": 1, "y": 4, "z": 2, "w": 7})
         assert _overlap(large, small) == _overlap(small, large) == 2
+
+
+_KEYS = st.one_of(st.sampled_from("abcd"), st.tuples(st.sampled_from("ab"), st.sampled_from("ab")))
+# counts past 255 reach the excess kept beside the masks
+_MULTISETS = st.dictionaries(_KEYS, st.one_of(st.integers(1, 40), st.integers(250, 520)),
+                             max_size=6).map(Counter)
+
+
+class TestLevelMasks:
+    """Every pair's overlaps from one set's level masks equal the per-pair walks."""
+
+    @given(programs=st.lists(st.tuples(st.lists(st.sampled_from("ab=("), max_size=12),
+                                       _MULTISETS, _MULTISETS), min_size=2, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_every_pair_equals_the_walks(self, programs):
+        seqs = [TokenSequence(tuple(tokens)) for tokens, _, _ in programs]
+        bags = [bag for _, bag, _ in programs]
+        edges = [edge for _, _, edge in programs]
+        ngrams = list(zip(*(level_masks([s.ngrams[n] for s in seqs])
+                            for n in range(MAX_NGRAM_ORDER))))
+        bag_masks, edge_masks = level_masks(bags), level_masks(edges)
+        for p in range(len(programs)):
+            for q in range(p, len(programs)):
+                overlaps = masked_text_overlaps(ngrams[p], ngrams[q])
+                assert overlaps == text_overlaps(seqs[p], seqs[q])
+                assert 0 not in overlaps[:-1]  # orders stop after the first zero
+                assert masked_overlap(bag_masks[p], bag_masks[q]) == _overlap(bags[p], bags[q])
+                assert masked_overlap(edge_masks[p], edge_masks[q]) == _overlap(edges[p], edges[q])
+
+    def test_counts_around_a_byte(self):
+        counts = [Counter({"(": c, "x": 2}) for c in (0, 1, 7, 8, 9, 254, 255, 256, 257, 3001)]
+        masks = level_masks(counts)
+        assert [excess for _, excess in masks] == [None] * 7 + [{"(": 1}, {"(": 2}, {"(": 2746}]
+        for p, mask_p in enumerate(masks):
+            for q, mask_q in enumerate(masks):
+                assert masked_overlap(mask_p, mask_q) == _overlap(counts[p], counts[q])
