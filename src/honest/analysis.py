@@ -30,30 +30,14 @@ class CstNode(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SubtreeBag:
-    """Multiset of height-limited node-kind fingerprints."""
+class Bag:
+    """A multiset that similarities clip-match: a program's height-limited
+    subtree fingerprints, or its directed (source_var, target_var) def-use
+    edges. Edge (a, b) means the value of b comes from a. Name-based on
+    purpose: edges from two different programs are intersected by variable
+    name."""
 
-    entries: Counter
-
-    def __len__(self) -> int:
-        return self.size
-
-    @cached_property
-    def size(self) -> int:
-        """Total count, summed once: not a field, so equality and hashing see
-        only the entries."""
-        return sum(self.entries.values())
-
-
-@dataclass(frozen=True)
-class DataflowGraph:
-    """Multiset of directed (source_var, target_var) def-use edges.
-
-    Edge (a, b) means the value of b comes from a. Name-based on purpose:
-    edges from two different programs are intersected by variable name.
-    """
-
-    edges: Counter
+    counts: Counter
 
     def __len__(self) -> int:
         return self.size
@@ -61,8 +45,8 @@ class DataflowGraph:
     @cached_property
     def size(self) -> int:
         """Total count, summed once: not a field, so equality and hashing see
-        only the edges."""
-        return sum(self.edges.values())
+        only the counts."""
+        return sum(self.counts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +161,9 @@ _PY_BINDINGS = {
 }
 
 
-def _convert_py(module: ast.Module, dropped: int, edges: Counter | None = None) -> CstNode:
+def _convert_py(module: ast.Module, dropped: int) -> tuple[CstNode, Counter]:
     """``module`` as a CstNode, with one ERROR leaf per dropped line after the
-    surviving nodes; its def-use edges are added to ``edges``.
+    surviving nodes, and its def-use edges.
 
     One pre-order walk on an explicit stack, then a stack of built nodes:
     nesting depth is bounded by memory, not by the recursion limit. The walk
@@ -188,7 +172,6 @@ def _convert_py(module: ast.Module, dropped: int, edges: Counter | None = None) 
     of a binding is walked between two marks, which record where that field's
     names start and end in the list, so the edges are read off after the walk.
     """
-    edges = Counter() if edges is None else edges
     walk, stack, names, called, marks, bindings = [], [module], [], set(), [], []
     while stack:
         node = stack.pop()
@@ -230,6 +213,7 @@ def _convert_py(module: ast.Module, dropped: int, edges: Counter | None = None) 
         start = len(built) - count
         built[start:] = [CstNode(kind, tuple(built[start:]))]
     (root,) = built
+    edges: Counter = Counter()
     for first, count, also_read in bindings:
         spans = [names[marks[m]:marks[m + 1]] for m in range(first, first + 2 * count, 2)]
         loads = [n for n, ctx in spans[0] if ctx is ast.Load]
@@ -237,7 +221,7 @@ def _convert_py(module: ast.Module, dropped: int, edges: Counter | None = None) 
             writes = [n for n, ctx in span if ctx is ast.Store]
             reads = loads + [n for n, ctx in span if ctx is also_read]
             edges.update((r, w) for w in writes for r in reads)
-    return CstNode(root.kind, root.children + (CstNode("ERROR"),) * dropped)
+    return CstNode(root.kind, root.children + (CstNode("ERROR"),) * dropped), edges
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +363,7 @@ def parse_cst(program: Program) -> CstNode:
     return _cst_and_dataflow(program)[0]
 
 
-def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> SubtreeBag:
+def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> Bag:
     """One fingerprint per internal node: its kind plus descendant kinds down
     to the given height, serialized canonically. Position-independent.
 
@@ -405,7 +389,7 @@ def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> Sub
                                for row in zip(*prints[start:]))]
         bag[node_prints.pop()] += 1
         prints[start:] = [node_prints]
-    return SubtreeBag(bag)
+    return Bag(bag)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +430,7 @@ def _java_dataflow(tokens: list[tuple[str, str]]) -> Counter:
     return edges
 
 
-def extract_dataflow(program: Program) -> DataflowGraph:
+def extract_dataflow(program: Program) -> Bag:
     """Def-use edges from a flow-insensitive, intraprocedural pass.
 
     For each assignment, every variable read on the right-hand side emits an
@@ -456,12 +440,12 @@ def extract_dataflow(program: Program) -> DataflowGraph:
 
 
 def _cst_and_dataflow(program: Program,
-                      lexed: Lexed | None = None) -> tuple[CstNode, DataflowGraph]:
+                      lexed: Lexed | None = None) -> tuple[CstNode, Bag]:
     """``(parse_cst(program), extract_dataflow(program))`` from one parse: Python's
     source (with its error recovery), or Java's ``lexed`` (``lex(program)`` if None)."""
     if program.language is Language.PYTHON:
-        module, dropped = _parse_python_ast(program.source)
-        edges: Counter = Counter()
-        return _convert_py(module, dropped, edges), DataflowGraph(edges)
-    tokens = _java_tokens(lex(program) if lexed is None else lexed)
-    return _parse_java(tokens), DataflowGraph(_java_dataflow(tokens))
+        tree, edges = _convert_py(*_parse_python_ast(program.source))
+    else:
+        tokens = _java_tokens(lex(program) if lexed is None else lexed)
+        tree, edges = _parse_java(tokens), _java_dataflow(tokens)
+    return tree, Bag(edges)

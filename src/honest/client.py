@@ -91,8 +91,6 @@ class SamplingConfig:
 @dataclass(frozen=True)
 class GenerationRecord:
     program: Program
-    raw_response: str
-    finish_reason: str
 
 
 _FENCE_RE = re.compile(r"```[ \t]*[\w+-]*[ \t]*\r?\n(.*?)```", re.DOTALL)
@@ -187,8 +185,7 @@ def _record(choice: dict, language: Language, temperature: float,
                       token_probs=probs or None,
                       unfenced=_FENCE_RE.search(raw) is None),
     )
-    return GenerationRecord(program=program, raw_response=raw,
-                            finish_reason=choice.get("finish_reason", ""))
+    return GenerationRecord(program=program)
 
 
 def sample_records(requirement: str, language: Language,

@@ -8,13 +8,12 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import DataflowGraph, SubtreeBag, _cst_and_dataflow, extract_subtrees
+from .analysis import Bag, _cst_and_dataflow, extract_subtrees
 from .dataset import _open_text, write_text
 from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed, prefetch
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import mann_whitney_auroc
-from .model import (MAX_NGRAM_ORDER, Language, Program, SampleSet, TokenSequence, lex,
-                    token_sequence, tokenize)
+from .model import Language, Program, SampleSet, TokenSequence, lex, token_sequence, tokenize
 from .similarity import (
     _SUM_TOL,
     SimilarityBreakdown,
@@ -23,10 +22,8 @@ from .similarity import (
     clipped_ratio,
     level_masks,
     masked_overlap,
-    masked_text_overlaps,
     sim_embed,
     sim_hybrid,
-    text_overlaps,
     text_ratio,
 )
 
@@ -60,8 +57,8 @@ class ProgramAnalysis:
     set the program was analysed in and its index there (see ``_one_set``)."""
 
     tokens: TokenSequence
-    subtree_bag: SubtreeBag
-    dataflow: DataflowGraph
+    subtree_bag: Bag
+    dataflow: Bag
     embedding: EmbeddingVector
     in_set: Optional[tuple[_PairTable, int]] = None
 
@@ -81,18 +78,22 @@ def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> Prog
     )
 
 
+def _multisets(a: ProgramAnalysis) -> tuple[Counter, ...]:
+    """The six clipped multisets of a program: its n-gram counts of orders
+    1-4, its subtree bag and its def-use edges."""
+    return (*a.tokens.ngrams, a.subtree_bag.counts, a.dataflow.counts)
+
+
 def _fresh_terms(a: ProgramAnalysis, b: ProgramAnalysis) -> tuple:
-    return (text_overlaps(a.tokens, b.tokens),
-            _overlap(a.subtree_bag.entries, b.subtree_bag.entries),
-            _overlap(a.dataflow.edges, b.dataflow.edges),
-            sim_embed(a.embedding, b.embedding))
+    return (*map(_overlap, _multisets(a), _multisets(b)), sim_embed(a.embedding, b.embedding))
 
 
 class _PairTable:
     """The symmetric terms of each unordered pair of one set's distinct
-    programs, computed once and kept for the pair's other order. From
-    ``MASKED_FROM`` programs on, the overlaps come from level masks, built on
-    the first pair for all of the set's programs at once."""
+    programs, the overlaps of their six multisets and their cosine, computed
+    once and kept for the pair's other order. From ``MASKED_FROM`` programs
+    on, the overlaps come from level masks, built on the first pair for all of
+    the set's programs at once, one ``level_masks`` call per multiset."""
 
     def __init__(self, analyses: Sequence[ProgramAnalysis]):
         self.analyses = analyses
@@ -111,15 +112,8 @@ class _PairTable:
         if len(self.analyses) < MASKED_FROM:
             return _fresh_terms(a, b)
         if self.masks is None:
-            self.masks = list(zip(
-                zip(*(level_masks([x.tokens.ngrams[n] for x in self.analyses])
-                      for n in range(MAX_NGRAM_ORDER))),
-                level_masks([x.subtree_bag.entries for x in self.analyses]),
-                level_masks([x.dataflow.edges for x in self.analyses])))
-        (ngrams_a, bag_a, edges_a), (ngrams_b, bag_b, edges_b) = self.masks[p], self.masks[q]
-        return (masked_text_overlaps(ngrams_a, ngrams_b),
-                masked_overlap(bag_a, bag_b),
-                masked_overlap(edges_a, edges_b),
+            self.masks = list(zip(*map(level_masks, zip(*map(_multisets, self.analyses)))))
+        return (*map(masked_overlap, self.masks[p], self.masks[q]),
                 sim_embed(a.embedding, b.embedding))
 
 
@@ -132,9 +126,9 @@ def _one_set(analyses: Sequence[ProgramAnalysis]) -> list[ProgramAnalysis]:
 
 
 def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
-    """The n-gram, subtree and edge overlaps and the cosine of a pair: the same
-    for both orders, so within one set a pair computes them once. Analyses
-    from no set, or from two, compute them afresh."""
+    """The six overlaps and the cosine of a pair: the same for both orders, so
+    within one set a pair computes them once. Analyses from no set, or from
+    two, compute them afresh."""
     if a_i.in_set and a_j.in_set and a_i.in_set[0] is a_j.in_set[0]:
         return a_i.in_set[0].pair(a_i.in_set[1], a_j.in_set[1])
     return _fresh_terms(a_i, a_j)
@@ -143,7 +137,7 @@ def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
 def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,
                    weights: SimilarityWeights) -> SimilarityBreakdown:
     """The four similarities of program i to program j, and their hybrid."""
-    ngrams, subtrees, edges, embedding = _symmetric_terms(a_i, a_j)
+    *ngrams, subtrees, edges, embedding = _symmetric_terms(a_i, a_j)
     text = text_ratio(ngrams, len(a_i.tokens), len(a_j.tokens))
     syntax = clipped_ratio(subtrees, a_i.subtree_bag.size, a_j.subtree_bag.size)
     dataflow = clipped_ratio(edges, a_i.dataflow.size, a_j.dataflow.size)

@@ -1,28 +1,29 @@
 """The four modality similarities and their weighted hybrid.
 
-All four scores live in [0, 1]. Text, syntax, and dataflow similarity are
-asymmetric by construction: the denominator always counts the second
-argument's n-grams / subtrees / edges. Their numerators, the clipped
-overlaps, are symmetric, and so is the cosine. So each of those three
-modalities is a symmetric overlap (``text_overlaps``, ``_overlap``) and an
-ordered ratio step (``text_ratio``, ``clipped_ratio``) that takes the
-overlap and both sizes; the overlaps of a pair serve both of its orders.
+All four scores live in [0, 1]. Text, syntax and dataflow similarity are
+clipped matches of six multisets per program: its n-gram counts of orders
+1-4, its subtree bag and its def-use edges. Each clipped overlap
+(``_overlap``) is symmetric, and so is the cosine; only the ratio step
+(``text_ratio``, ``clipped_ratio``) is ordered, as its denominator counts
+the second program's n-grams / subtrees / edges. So the overlaps of a pair
+serve both of its orders.
 
-A set of many programs has all of its overlaps read off level masks
-instead: ``level_masks`` interns each key of the set once and turns each
-multiset into one int, and ``masked_overlap`` of two of them is the
-popcount of their AND, an integer equal to ``_overlap``'s. Building the
-masks costs a few passes over each program's keys, so the confidence stage
-takes this form only for sets with enough distinct programs.
+A set of many programs has its overlaps read off level masks instead:
+``level_masks`` interns the keys of one of the six multisets once across
+the set and turns each program's multiset into one int, and
+``masked_overlap`` of two of them is the popcount of their AND, an integer
+equal to ``_overlap``'s. Building the masks costs a few passes over each
+program's keys, so the confidence stage takes this form only for sets with
+enough distinct programs.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .analysis import DataflowGraph, SubtreeBag
+from .analysis import Bag
 from .embeddings import EmbeddingVector, cosine
 from .errors import ComponentOutOfRange
 from .model import TokenSequence
@@ -79,22 +80,10 @@ def _overlap(counts_i: Counter, counts_j: Counter) -> int:
     return total
 
 
-def _until_zero(overlaps: Iterable[int]) -> tuple[int, ...]:
-    """The n-gram overlaps of orders 1, 2, ..., up to and including the first
-    zero: an (n+1)-gram shared by both sequences starts with a shared n-gram,
-    so every higher order overlaps by zero too."""
-    out = []
-    for overlap in overlaps:
-        out.append(overlap)
-        if overlap == 0:
-            break
-    return tuple(out)
-
-
 def text_overlaps(seq_i: TokenSequence, seq_j: TokenSequence) -> tuple[int, ...]:
-    """Clipped n-gram overlaps for orders 1, 2, ... of ``TokenSequence.ngrams``,
-    up to the first zero; symmetric."""
-    return _until_zero(map(_overlap, seq_i.ngrams, seq_j.ngrams))
+    """Clipped n-gram overlaps for orders 1..4 of ``TokenSequence.ngrams``;
+    symmetric."""
+    return tuple(map(_overlap, seq_i.ngrams, seq_j.ngrams))
 
 
 # One byte translation table per plane p of eight levels: the byte of a key
@@ -144,13 +133,6 @@ def masked_overlap(mask_i: LevelMask, mask_j: LevelMask) -> int:
     return total
 
 
-def masked_text_overlaps(masks_i: Sequence[LevelMask],
-                         masks_j: Sequence[LevelMask]) -> tuple[int, ...]:
-    """``text_overlaps`` from the two sequences' n-gram ``level_masks``, one
-    per order."""
-    return _until_zero(map(masked_overlap, masks_i, masks_j))
-
-
 def text_ratio(overlaps: Sequence[int], size_i: int, size_j: int) -> float:
     """Geometric-mean n-gram overlap ratio (orders 1..4), clipped counts, from
     ``text_overlaps`` and the lengths of seq_i and seq_j.
@@ -185,14 +167,14 @@ def clipped_ratio(overlap: int, size_i: int, size_j: int) -> float:
     return overlap / size_j
 
 
-def sim_syntax(bag_i: SubtreeBag, bag_j: SubtreeBag) -> float:
+def sim_syntax(bag_i: Bag, bag_j: Bag) -> float:
     """Clipped-multiset subtree overlap over bag_j's size."""
-    return clipped_ratio(_overlap(bag_i.entries, bag_j.entries), bag_i.size, bag_j.size)
+    return clipped_ratio(_overlap(bag_i.counts, bag_j.counts), bag_i.size, bag_j.size)
 
 
-def sim_dataflow(dfg_i: DataflowGraph, dfg_j: DataflowGraph) -> float:
+def sim_dataflow(dfg_i: Bag, dfg_j: Bag) -> float:
     """Clipped-multiset def-use edge overlap over dfg_j's size."""
-    return clipped_ratio(_overlap(dfg_i.edges, dfg_j.edges), dfg_i.size, dfg_j.size)
+    return clipped_ratio(_overlap(dfg_i.counts, dfg_j.counts), dfg_i.size, dfg_j.size)
 
 
 def sim_embed(e_i: EmbeddingVector, e_j: EmbeddingVector) -> float:

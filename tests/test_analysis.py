@@ -18,6 +18,7 @@ from test_confidence import program_text
 from honest import analysis
 from honest.analysis import (
     _JAVA_DECL_KINDS,
+    Bag,
     CstNode,
     _convert_py,
     _head_kind,
@@ -70,7 +71,7 @@ class TestParseCst:
         damaged = "a = 1\ndef broken(:\nb = a\nx = = 2\nc = a + b\n"
         tree = parse_cst(py(damaged))
         assert _count_kind(tree, "ERROR") == 2
-        assert extract_dataflow(py(damaged)).edges == extract_dataflow(py(clean)).edges
+        assert extract_dataflow(py(damaged)).counts == extract_dataflow(py(clean)).counts
 
     def test_java_unbalanced_braces_recover(self):
         tree = parse_cst(java("class A { void f() {"))
@@ -101,13 +102,13 @@ class TestExtractSubtrees:
         for source in PYTHON_CORPUS[:5]:
             a = extract_subtrees(parse_cst(py(source)))
             b = extract_subtrees(parse_cst(py(source)))
-            assert a.entries == b.entries
+            assert a.counts == b.counts
 
     def test_literal_change_leaves_bags_equal(self):
         # the Python grammar does not distinguish literal values by kind
         a = extract_subtrees(parse_cst(py("x = 1")), height=1)
         b = extract_subtrees(parse_cst(py("x = 2")), height=1)
-        assert a.entries == b.entries
+        assert a.counts == b.counts
 
     def test_empty_program_empty_bag(self):
         assert len(extract_subtrees(parse_cst(py("")))) == 0
@@ -123,7 +124,16 @@ class TestExtractSubtrees:
     def test_fingerprints_height_limited(self):
         tree = CstNode("a", (CstNode("b", (CstNode("c", (CstNode("d"),)),)),))
         bag = extract_subtrees(tree, height=1)
-        assert bag.entries == Counter({"a(b)": 1, "b(c)": 1, "c(d)": 1})
+        assert bag.counts == Counter({"a(b)": 1, "b(c)": 1, "c(d)": 1})
+
+
+@pytest.mark.parametrize("program", [py(s) for s in PYTHON_CORPUS] + [java(s) for s in JAVA_CORPUS]
+                         + [py(""), java(""), py("a = 1\ndef broken(:\nb = a\n"),
+                            java("class A { void f() { int b = a;")])
+def test_subtrees_and_dataflow_are_bags(program):
+    for bag in (extract_subtrees(parse_cst(program)), extract_dataflow(program)):
+        assert type(bag) is Bag
+        assert len(bag) == bag.size == sum(bag.counts.values())
 
 
 # Hand-enumerated def-use oracle: each snippet paired with its exact edge
@@ -186,23 +196,23 @@ JAVA_DATAFLOW_ORACLE = [
 class TestExtractDataflow:
     @pytest.mark.parametrize("source,expected", PYTHON_DATAFLOW_ORACLE)
     def test_python_oracle(self, source, expected):
-        assert extract_dataflow(py(source)).edges == Counter(expected)
+        assert extract_dataflow(py(source)).counts == Counter(expected)
 
     @pytest.mark.parametrize("source,expected", JAVA_DATAFLOW_ORACLE)
     def test_java_oracle(self, source, expected):
-        assert extract_dataflow(java(source)).edges == Counter(expected)
+        assert extract_dataflow(java(source)).counts == Counter(expected)
 
     def test_deterministic(self):
         for source in PYTHON_CORPUS:
-            assert extract_dataflow(py(source)).edges == extract_dataflow(py(source)).edges
+            assert extract_dataflow(py(source)).counts == extract_dataflow(py(source)).counts
 
     def test_alpha_sensitive(self):
         a = extract_dataflow(py("a = 1\nb = a\n"))
         b = extract_dataflow(py("z = 1\nb = z\n"))
-        assert a.edges != b.edges
+        assert a.counts != b.counts
 
     def test_parse_error_best_effort(self):
-        edges = extract_dataflow(py("a = 1\nb = a\ndef broken(:\n")).edges
+        edges = extract_dataflow(py("a = 1\nb = a\ndef broken(:\n")).counts
         assert edges == Counter({("a", "b"): 1})
 
     def test_parser_warnings_stay_silent(self):
@@ -210,7 +220,7 @@ class TestExtractDataflow:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             parse_cst(program)
-            edges = extract_dataflow(program).edges
+            edges = extract_dataflow(program).counts
         assert [str(w.message) for w in caught] == []
         assert edges == Counter({("y", "x"): 1})
 
@@ -427,14 +437,14 @@ class TestDataflowMatchesSeedPasses:
     @example(source="a, b = b, a\nd = {k: v for k, v in items}")
     @settings(max_examples=300, deadline=None)
     def test_python(self, source):
-        assert extract_dataflow(py(source)).edges == seed_python_dataflow(source)
+        assert extract_dataflow(py(source)).counts == seed_python_dataflow(source)
 
     @given(source=java_sources)
     @example(source="x >>>= y; if (a <= b) c = d == e; f(g) != h;")
     @settings(max_examples=300, deadline=None)
     def test_java(self, source):
         program = java(source)
-        assert extract_dataflow(program).edges == seed_java_dataflow(_java_tokens(lex(program)))
+        assert extract_dataflow(program).counts == seed_java_dataflow(_java_tokens(lex(program)))
 
 
 def seed_parse_java_group(tokens, pos, closer, in_type_body):
@@ -509,14 +519,14 @@ class TestJavaParserIterative:
         tree = parse_cst(program)
         assert _count_kind_iterative(tree, "paren_group") >= 1
         assert len(extract_subtrees(tree)) > 0
-        assert extract_dataflow(program).edges == Counter()
+        assert extract_dataflow(program).counts == Counter()
 
     @pytest.mark.parametrize("depth", [3000, 10000])
     def test_deep_blocks_keep_every_level(self, depth):
         tree = parse_cst(java("{" * depth + "x;" + "}" * depth))
         assert _count_kind_iterative(tree, "block") == depth
         assert _count_kind_iterative(tree, "ERROR") == 0
-        assert sum(extract_subtrees(tree).entries.values()) == 2 * depth + 2
+        assert sum(extract_subtrees(tree).counts.values()) == 2 * depth + 2
 
 
 def _count_kind_iterative(tree, kind):
@@ -546,7 +556,7 @@ def test_deep_python_that_ast_parses_keeps_tree_and_edges(source, depth):
     tree = parse_cst(program)
     assert _count_kind_iterative(tree, "ERROR") == 0
     assert _count_kind_iterative(tree, "UnaryOp") == depth
-    assert extract_dataflow(program).edges == Counter({("y", "x"): 1})
+    assert extract_dataflow(program).counts == Counter({("y", "x"): 1})
 
 
 def _ast_parses(source):
@@ -572,11 +582,11 @@ class TestDeepPythonNesting:
         tree = parse_cst(program)
         if name in self.PARSED_EDGES and _ast_parses(DEEP_PYTHON[name]):
             assert _count_kind_iterative(tree, "ERROR") == 0
-            assert extract_dataflow(program).edges == self.PARSED_EDGES[name]
+            assert extract_dataflow(program).counts == self.PARSED_EDGES[name]
             return
         error = CstNode("ERROR")
         assert tree == CstNode("Module", (error, error))
-        assert extract_dataflow(program).edges == Counter()
+        assert extract_dataflow(program).counts == Counter()
 
     @pytest.mark.parametrize(
         "source", [*DEEP_PYTHON.values(), *(s for s, _ in PARSED_DEEP_PYTHON.values())],
@@ -700,8 +710,8 @@ class TestPythonConversionIterative:
         module, dropped = _parse_python_ast(source)
         seed_module, seed_dropped = seed_parse_python_ast(source)
         assert dropped == seed_dropped
-        assert _preorder(_convert_py(module, dropped)) == _preorder(
-            _convert_py(seed_module, seed_dropped))
+        assert _preorder(_convert_py(module, dropped)[0]) == _preorder(
+            _convert_py(seed_module, seed_dropped)[0])
 
 
 @pytest.mark.parametrize("source, drops, parses", [
@@ -751,7 +761,7 @@ class TestPythonLineBreaks:
         source = "s = 'a\fb'\nt = s\nx = = 1\n"
         tree = parse_cst(py(source))
         assert _count_kind(tree, "ERROR") == 1
-        assert extract_dataflow(py(source)).edges == Counter({("s", "t"): 1})
+        assert extract_dataflow(py(source)).counts == Counter({("s", "t"): 1})
         plain = parse_cst(py(source.replace("a\fb", "ab")))
         assert extract_subtrees(tree) == extract_subtrees(plain)
 
@@ -764,7 +774,7 @@ class TestPythonLineBreaks:
     def test_carriage_return_breaks_a_line_as_newline_does(self, ending):
         source = f"a = 1{ending}b = = 2{ending}c = a{ending}"
         assert _parse_python_ast(source)[1] == 1
-        assert extract_dataflow(py(source)).edges == Counter({("a", "c"): 1})
+        assert extract_dataflow(py(source)).counts == Counter({("a", "c"): 1})
 
     @given(source=st.one_of(st.sampled_from(PYTHON_CORPUS), python_programs),
            bad=st.sampled_from(["x = = 1", "def broken(:", "    ) broken = = 0 ("]),

@@ -32,7 +32,7 @@ from honest.confidence import (
 from honest.errors import DegenerateLabels, HonestError, TooFewSamples
 from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed
 from honest.evaluation import ScoredSample, auroc, rank_auroc
-from honest.model import MAX_NGRAM_ORDER, Language, Program, SampleSet, lex, tokenize
+from honest.model import Language, Program, SampleSet, lex, tokenize
 from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
 
 
@@ -471,9 +471,9 @@ class TestDistinctPrograms:
 
 class TestPairStage:
     """Each unordered pair of distinct sources has its symmetric terms (the
-    n-gram, subtree and edge overlaps and the cosine) computed once, by
-    per-pair walks or, from ``MASKED_FROM`` distinct programs on, from level
-    masks built once per set."""
+    overlaps of its six multisets and the cosine) computed once, by per-pair
+    walks or, from ``MASKED_FROM`` distinct programs on, from level masks
+    built once per set."""
 
     @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS[:8]),
                                                  (Language.JAVA, JAVA_CORPUS)],
@@ -491,56 +491,60 @@ class TestPairStage:
 
         def counted(name, real):
             def call(*args):
-                calls.append((name, args[0]))
-                return real(*args)
+                calls.append((name, args, real(*args)))
+                return calls[-1][2]
             return call
 
         monkeypatch.setattr(confidence, "analyze_program", analyze)
-        monkeypatch.setattr(confidence, "text_overlaps",
-                            counted("text", confidence.text_overlaps))
-        monkeypatch.setattr(similarity, "_overlap", counted("ngrams", similarity._overlap))
-        monkeypatch.setattr(confidence, "_overlap", counted("multiset", confidence._overlap))
+        monkeypatch.setattr(confidence, "_overlap", counted("walk", confidence._overlap))
         monkeypatch.setattr(similarity, "cosine", counted("cosine", similarity.cosine))
         monkeypatch.setattr(confidence, "level_masks", counted("masks", confidence.level_masks))
-        monkeypatch.setattr(confidence, "masked_text_overlaps",
-                            counted("masked text", confidence.masked_text_overlaps))
-        monkeypatch.setattr(similarity, "masked_overlap",
-                            counted("masked ngrams", similarity.masked_overlap))
         monkeypatch.setattr(confidence, "masked_overlap",
-                            counted("masked multiset", confidence.masked_overlap))
+                            counted("masked", confidence.masked_overlap))
         samples = SampleSet("req-1", "a requirement",
                             tuple(Program(s, language) for s in corpus))
-        pairs = len(corpus) * (len(corpus) - 1) // 2
-        assert len(corpus) < confidence.MASKED_FROM
+        n = len(corpus)
+        pairs = n * (n - 1) // 2
+        assert n < confidence.MASKED_FROM
 
-        # below MASKED_FROM programs, each pair walks its multisets
+        def six(a):
+            return (*a.tokens.ngrams, a.subtree_bag.counts, a.dataflow.counts)
+
+        # each of the six multisets of each unordered pair, once
+        every = Counter((k, (p, q)) for k in range(6) for p in range(n) for q in range(p + 1, n))
+
+        def matched(name, where):
+            """(multiset, unordered pair) of each ``name`` call, from where its
+            two arguments come from: (multiset, analysis) by id."""
+            seen = Counter()
+            for called, args, _ in calls:
+                if called == name:
+                    (k, p), (l, q) = map(where.get, map(id, args))
+                    assert k == l
+                    seen[k, (min(p, q), max(p, q))] += 1
+            return seen
+
+        # below MASKED_FROM programs, each pair walks its six multisets
         estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
-        bags = {id(a.subtree_bag.entries) for a in analyses}
-        edges = {id(a.dataflow.edges) for a in analyses}
-        kinds = Counter(name for name, _ in calls)
-        assert kinds["text"] == kinds["cosine"] == pairs
-        assert sum(1 for name, first in calls if name == "multiset" and id(first) in bags) == pairs
-        assert sum(1 for name, first in calls if name == "multiset" and id(first) in edges) == pairs
-        assert kinds["multiset"] == 2 * pairs
-        assert pairs <= kinds["ngrams"] <= 4 * pairs
-        assert not any(name.startswith("mask") for name in kinds)
+        where = {id(m): (k, p) for p, a in enumerate(analyses) for k, m in enumerate(six(a))}
+        assert matched("walk", where) == every
+        assert Counter(name for name, _, _ in calls) == {"walk": 6 * pairs, "cosine": pairs}
 
         # from MASKED_FROM on, each multiset of each analysis is masked once,
-        # all in one go, and each pair reads its overlaps off the masks
+        # one level_masks call per multiset, and each pair reads its six
+        # overlaps off the masks
         monkeypatch.setattr(confidence, "MASKED_FROM", 2)
         analyses.clear()
         calls.clear()
         estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
-        multisets = [m for a in analyses
-                     for m in (*a.tokens.ngrams, a.subtree_bag.entries, a.dataflow.edges)]
-        built = [m for name, first in calls if name == "masks" for m in first]
-        kinds = Counter(name for name, _ in calls)
-        assert kinds["masks"] == MAX_NGRAM_ORDER + 2
-        assert sorted(map(id, built)) == sorted(map(id, multisets))
-        assert kinds["masked text"] == kinds["cosine"] == pairs
-        assert kinds["masked multiset"] == 2 * pairs
-        assert pairs <= kinds["masked ngrams"] <= 4 * pairs
-        assert kinds["text"] == kinds["multiset"] == kinds["ngrams"] == 0
+        built = [(args[0], masks) for name, args, masks in calls if name == "masks"]
+        assert [list(map(id, multisets)) for multisets, _ in built] == [
+            [id(six(a)[k]) for a in analyses] for k in range(6)]
+        where = {id(mask): (k, p) for k, (_, masks) in enumerate(built)
+                 for p, mask in enumerate(masks)}
+        assert matched("masked", where) == every
+        assert Counter(name for name, _, _ in calls) == {
+            "masks": 6, "masked": 6 * pairs, "cosine": pairs}
 
     def test_reverse_call_reuses_terms_and_equals_fresh_formulas(self, local_provider,
                                                                  monkeypatch):
@@ -554,16 +558,16 @@ class TestPairStage:
                 return real(x, y)
             return call
 
-        monkeypatch.setattr(confidence, "text_overlaps",
-                            counted("walks", confidence.text_overlaps))
-        monkeypatch.setattr(confidence, "masked_text_overlaps",
-                            counted("masks", confidence.masked_text_overlaps))
+        monkeypatch.setattr(confidence, "_overlap", counted("walks", confidence._overlap))
+        monkeypatch.setattr(confidence, "masked_overlap",
+                            counted("masks", confidence.masked_overlap))
         for form, masked_from in (("walks", confidence.MASKED_FROM), ("masks", 2)):
             monkeypatch.setattr(confidence, "MASKED_FROM", masked_from)
             a, b = confidence._one_set(loose)
             fresh.clear()
-            # within one set, the forward call computes, its reverse and a
-            # repeat of the pair reuse, and a different pair computes its own
+            # within one set, the forward call computes its six overlaps, its
+            # reverse and a repeat of the pair reuse them, and a different
+            # pair computes its own
             computed = []
             for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 1, a, b),
                                    (0, 0, a, a)):
@@ -574,13 +578,13 @@ class TestPairStage:
                     sim_syntax(a_i.subtree_bag, a_j.subtree_bag),
                     sim_dataflow(a_i.dataflow, a_j.dataflow),
                     sim_embed(a_i.embedding, a_j.embedding))
-            assert computed == [1, 1, 1, 1, 2]
-            assert fresh == [form, form]
+            assert computed == [6, 6, 6, 6, 12]
+            assert fresh == [form] * 12
         # analyses from no set walk the pair on every call
         fresh.clear()
         for _ in range(2):
             pair_breakdown(0, 1, *loose, weights)
-        assert fresh == ["walks", "walks"]
+        assert fresh == ["walks"] * 12
 
     @pytest.mark.parametrize("distinct", [confidence.MASKED_FROM - 1, confidence.MASKED_FROM])
     def test_both_forms_equal_around_the_threshold(self, distinct, local_provider, monkeypatch):
@@ -608,8 +612,9 @@ class TestPairStage:
         assert chosen == masks == walks
 
     def test_threads_equal_serial_runs(self, local_provider):
-        """Threads share the one-entry cache of the last pair's terms; one that
-        finds another thread's pair there must miss, never reuse it."""
+        """Each set has its own ``_PairTable``, so no thread can see another
+        thread's terms: threads running sets at once score them as one
+        thread does."""
         sets = [sample_set(PYTHON_CORPUS[k:k + 5], rid=f"py-{k}") for k in (0, 5, 10, 15)]
         sets.append(SampleSet("java", "a requirement",
                               tuple(Program(s, Language.JAVA) for s in JAVA_CORPUS)))
