@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import zlib
@@ -201,13 +202,19 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_gate(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise CliError(f"--threshold must be a finite number, got {args.threshold!r}")
     reports: dict[str, list[dict]] = {}
     for number, obj in dataset.read_lines(args.report,
                                           {"id", "model", "n", "confidence", "weights"}):
+        value = obj.get("confidence")
         if not (isinstance(obj.get("id"), str)
-                and "n" in obj and isinstance(obj.get("confidence"), (int, float))):
+                and "n" in obj and isinstance(value, (int, float))):
             raise CliError(f"report line {number}: expected an object with a "
                            f"string \"id\", \"n\" and a numeric \"confidence\"")
+        if isinstance(value, bool) or not 0.0 <= value <= 1.0:
+            raise CliError(f"report line {number}: \"confidence\" must be a "
+                           f"number in [0, 1], got {value!r}")
         reports.setdefault(obj["id"], []).append(obj)
     if not reports:
         raise CliError("empty report file")

@@ -18,7 +18,6 @@ from .similarity import (
     _SUM_TOL,
     SimilarityBreakdown,
     SimilarityWeights,
-    _overlap,
     clipped_ratio,
     level_masks,
     masked_overlap,
@@ -28,12 +27,6 @@ from .similarity import (
 )
 
 GRID_STEP = 0.05
-# Distinct programs from which a set's clipped overlaps come from level masks.
-# Building the masks costs a few passes over each program's keys, which pays
-# off only once each program meets enough others. On random sets of the
-# benchmark's short, ~30-line and damaged programs, masks took 0.62-1.18 times
-# the per-pair walks' CPU time at 10 distinct programs and 0.60-0.95 at 12.
-MASKED_FROM = 12
 
 
 @dataclass(frozen=True)
@@ -84,16 +77,12 @@ def _multisets(a: ProgramAnalysis) -> tuple[Counter, ...]:
     return (*a.tokens.ngrams, a.subtree_bag.counts, a.dataflow.counts)
 
 
-def _fresh_terms(a: ProgramAnalysis, b: ProgramAnalysis) -> tuple:
-    return (*map(_overlap, _multisets(a), _multisets(b)), sim_embed(a.embedding, b.embedding))
-
-
 class _PairTable:
     """The symmetric terms of each unordered pair of one set's distinct
     programs, the overlaps of their six multisets and their cosine, computed
-    once and kept for the pair's other order. From ``MASKED_FROM`` programs
-    on, the overlaps come from level masks, built on the first pair for all of
-    the set's programs at once, one ``level_masks`` call per multiset."""
+    once and kept for the pair's other order. The overlaps come from level
+    masks, built on the first pair for all of the set's programs at once, one
+    ``level_masks`` call per multiset."""
 
     def __init__(self, analyses: Sequence[ProgramAnalysis]):
         self.analyses = analyses
@@ -109,8 +98,6 @@ class _PairTable:
 
     def _compute(self, p: int, q: int) -> tuple:
         a, b = self.analyses[p], self.analyses[q]
-        if len(self.analyses) < MASKED_FROM:
-            return _fresh_terms(a, b)
         if self.masks is None:
             self.masks = list(zip(*map(level_masks, zip(*map(_multisets, self.analyses)))))
         return (*map(masked_overlap, self.masks[p], self.masks[q]),
@@ -128,10 +115,10 @@ def _one_set(analyses: Sequence[ProgramAnalysis]) -> list[ProgramAnalysis]:
 def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
     """The six overlaps and the cosine of a pair: the same for both orders, so
     within one set a pair computes them once. Analyses from no set, or from
-    two, compute them afresh."""
+    two, compute them afresh in a table of their own."""
     if a_i.in_set and a_j.in_set and a_i.in_set[0] is a_j.in_set[0]:
         return a_i.in_set[0].pair(a_i.in_set[1], a_j.in_set[1])
-    return _fresh_terms(a_i, a_j)
+    return _PairTable([a_i, a_j]).pair(0, 1)
 
 
 def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,

@@ -110,8 +110,8 @@ def threshold_sweep(scored: Sequence[ScoredSample]) -> list[SweepPoint]:
     hi = max(s.score for s in scored)
     step = (hi - lo) / (SWEEP_POINTS - 1)
     sweep = []
-    for k in range(SWEEP_POINTS):
-        t = lo + k * step
+    # the last threshold is hi itself: lo + 99 * step can round past it
+    for t in [lo + k * step for k in range(SWEEP_POINTS - 1)] + [hi]:
         correct = sum(s.programs_correct for s in scored if s.score >= t)
         erroneous = sum(s.programs_total - s.programs_correct
                         for s in scored if s.score >= t)

@@ -8,13 +8,12 @@ clipped matches of six multisets per program: its n-gram counts of orders
 the second program's n-grams / subtrees / edges. So the overlaps of a pair
 serve both of its orders.
 
-A set of many programs has its overlaps read off level masks instead:
+The confidence stage reads a set's overlaps off level masks instead:
 ``level_masks`` interns the keys of one of the six multisets once across
 the set and turns each program's multiset into one int, and
 ``masked_overlap`` of two of them is the popcount of their AND, an integer
-equal to ``_overlap``'s. Building the masks costs a few passes over each
-program's keys, so the confidence stage takes this form only for sets with
-enough distinct programs.
+equal to ``_overlap``'s. The walks of ``_overlap`` stay as the reference
+form of the ``sim_*`` functions.
 """
 from __future__ import annotations
 

@@ -242,6 +242,13 @@ class TestGateCommand:
     def test_unknown_id_is_usage_error(self, tmp_path):
         assert self.run_gate(tmp_path, 0.5, rid="missing") == 2
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "1e400"])
+    def test_non_finite_threshold_is_usage_error(self, threshold, tmp_path, capsys):
+        code = self.run_gate(tmp_path, threshold)
+        err = capsys.readouterr().err
+        assert_usage_error(code, err)
+        assert "--threshold" in err
+
     def test_matches_the_report_line_model(self, tmp_path, capsys):
         """One id archived for two models: each report line is gated with its
         own model's programs, and an ambiguous report or archive exits 2."""
@@ -723,12 +730,17 @@ ARCHIVE_LINE = {"id": "s0", "model": MODEL,
     # alone has none for any train sample
     ("eval", "--archive", json.dumps(ARCHIVE_LINE), ".jsonl"),
     ("tune", "--archive", json.dumps({**ARCHIVE_LINE, "id": "s4"}), ".jsonl"),
+    # a confidence that is no number in [0, 1]; 1e400 reads as infinity
+    *[("gate", "--report", f'{{"id": "s0", "n": 3, "confidence": {value}}}\n', ".jsonl")
+      for value in ("NaN", "Infinity", "-Infinity", "1e400", "true", "1.5", "-0.1")],
 ], ids=["missing-archive", "missing-report", "missing-requirement-file",
         "report-not-json", "report-without-id", "weights-without-alpha",
         "weights-not-summing-to-1", "benchmark-labels-list", "program-item-string",
         "numeric-source", "truncated-gzip", "undecodable-benchmark",
         "config-line-without-equals", "archive-without-an-evaluated-id",
-        "tune-without-archived-train-samples"])
+        "tune-without-archived-train-samples", "confidence-nan", "confidence-infinity",
+        "confidence-minus-infinity", "confidence-1e400", "confidence-true",
+        "confidence-above-1", "confidence-below-0"])
 def test_unreadable_or_malformed_input_is_usage_error(command, flag, contents,
                                                       suffix, tmp_path, capsys):
     code = main(argv_with_input(command, tmp_path, flag, contents, suffix))

@@ -33,7 +33,8 @@ from honest.errors import DegenerateLabels, HonestError, TooFewSamples
 from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed
 from honest.evaluation import ScoredSample, auroc, rank_auroc
 from honest.model import Language, Program, SampleSet, lex, tokenize
-from honest.similarity import SimilarityWeights, sim_dataflow, sim_embed, sim_syntax, sim_text
+from honest.similarity import (SimilarityWeights, sim_dataflow, sim_embed, sim_hybrid,
+                               sim_syntax, sim_text)
 
 
 def py(source):
@@ -385,7 +386,9 @@ class TestModalityMeans:
 
 def seed_pairs(samples, weights, provider):
     """The pair stage as first written: every program analysed and every
-    ordered pair compared, copies included."""
+    ordered pair compared, copies included. Each pair's overlaps come from
+    level masks as in the set's own stage; ``walk_scores`` is the reference
+    from the walks."""
     analyses = [analyze_program(p, provider) for p in samples.programs]
     n = len(samples)
     return [pair_breakdown(i, j, analyses[i], analyses[j], weights)
@@ -469,16 +472,43 @@ class TestDistinctPrograms:
             samples, local_provider)
 
 
+def walk_scores(samples, provider):
+    """The confidences at uniform and 0.4/0.3/0.2/0.1 weights and the modality
+    means, as ``float.hex()``, from the ``sim_*`` walks and ``sim_hybrid`` over
+    every ordered pair in row order, copies included."""
+    analyses = [analyze_program(p, provider) for p in samples.programs]
+    n = len(analyses)
+    rows = [(sim_text(a.tokens, b.tokens), sim_syntax(a.subtree_bag, b.subtree_bag),
+             sim_dataflow(a.dataflow, b.dataflow), sim_embed(a.embedding, b.embedding))
+            for i, a in enumerate(analyses) for j, b in enumerate(analyses) if i != j]
+    out = []
+    for weights in (SimilarityWeights.uniform(), SimilarityWeights(0.4, 0.3, 0.2, 0.1)):
+        hybrids = [sim_hybrid(*row, weights) for row in rows]
+        out.append((sum(hybrids) / len(hybrids)).hex())
+    sums = [0.0, 0.0, 0.0, 0.0]
+    for row in rows:
+        for m, value in enumerate(row):
+            sums[m] += value
+    return out + [(total / len(rows)).hex() for total in sums]
+
+
+def distinct_sources(corpus, n):
+    """*n* distinct sources: the corpus's, then its programs again under
+    another class name."""
+    return [s if k < len(corpus) else s.replace("class ", f"class V{k}", 1)
+            for k, s in enumerate(corpus * 3)][:n]
+
+
 class TestPairStage:
     """Each unordered pair of distinct sources has its symmetric terms (the
-    overlaps of its six multisets and the cosine) computed once, by per-pair
-    walks or, from ``MASKED_FROM`` distinct programs on, from level masks
-    built once per set."""
+    overlaps of its six multisets and the cosine) computed once, from level
+    masks built once per set."""
 
-    @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS[:8]),
-                                                 (Language.JAVA, JAVA_CORPUS)],
-                             ids=["python", "java"])
-    def test_terms_once_per_unordered_pair(self, language, corpus, local_provider,
+    @pytest.mark.parametrize("language,sources", [
+        (Language.PYTHON, PYTHON_CORPUS[:8]), (Language.JAVA, JAVA_CORPUS),
+        (Language.PYTHON, PYTHON_CORPUS[:1] * 3), (Language.JAVA, JAVA_CORPUS[:1] * 3)],
+        ids=["python", "java", "python-copies", "java-copies"])
+    def test_terms_once_per_unordered_pair(self, language, sources, local_provider,
                                            monkeypatch):
         analyses = []
         real_analyze = confidence.analyze_program
@@ -496,120 +526,90 @@ class TestPairStage:
             return call
 
         monkeypatch.setattr(confidence, "analyze_program", analyze)
-        monkeypatch.setattr(confidence, "_overlap", counted("walk", confidence._overlap))
         monkeypatch.setattr(similarity, "cosine", counted("cosine", similarity.cosine))
         monkeypatch.setattr(confidence, "level_masks", counted("masks", confidence.level_masks))
         monkeypatch.setattr(confidence, "masked_overlap",
                             counted("masked", confidence.masked_overlap))
         samples = SampleSet("req-1", "a requirement",
-                            tuple(Program(s, language) for s in corpus))
-        n = len(corpus)
-        pairs = n * (n - 1) // 2
-        assert n < confidence.MASKED_FROM
+                            tuple(Program(s, language) for s in sources))
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+
+        # each unordered pair of distinct programs, and each program with
+        # copies paired with itself
+        distinct = list(dict.fromkeys(sources))
+        n = len(distinct)
+        pairs = [(p, q) for p in range(n) for q in range(p, n)
+                 if p < q or sources.count(distinct[p]) > 1]
 
         def six(a):
             return (*a.tokens.ngrams, a.subtree_bag.counts, a.dataflow.counts)
 
-        # each of the six multisets of each unordered pair, once
-        every = Counter((k, (p, q)) for k in range(6) for p in range(n) for q in range(p + 1, n))
-
-        def matched(name, where):
-            """(multiset, unordered pair) of each ``name`` call, from where its
-            two arguments come from: (multiset, analysis) by id."""
-            seen = Counter()
-            for called, args, _ in calls:
-                if called == name:
-                    (k, p), (l, q) = map(where.get, map(id, args))
-                    assert k == l
-                    seen[k, (min(p, q), max(p, q))] += 1
-            return seen
-
-        # below MASKED_FROM programs, each pair walks its six multisets
-        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
-        where = {id(m): (k, p) for p, a in enumerate(analyses) for k, m in enumerate(six(a))}
-        assert matched("walk", where) == every
-        assert Counter(name for name, _, _ in calls) == {"walk": 6 * pairs, "cosine": pairs}
-
-        # from MASKED_FROM on, each multiset of each analysis is masked once,
-        # one level_masks call per multiset, and each pair reads its six
-        # overlaps off the masks
-        monkeypatch.setattr(confidence, "MASKED_FROM", 2)
-        analyses.clear()
-        calls.clear()
-        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+        # each multiset of each analysis is masked once, one level_masks call
+        # per multiset, and each pair reads its six overlaps off the masks
         built = [(args[0], masks) for name, args, masks in calls if name == "masks"]
         assert [list(map(id, multisets)) for multisets, _ in built] == [
             [id(six(a)[k]) for a in analyses] for k in range(6)]
         where = {id(mask): (k, p) for k, (_, masks) in enumerate(built)
                  for p, mask in enumerate(masks)}
-        assert matched("masked", where) == every
+        seen = Counter()
+        for called, args, _ in calls:
+            if called == "masked":
+                (k, p), (l, q) = map(where.get, map(id, args))
+                assert k == l
+                seen[k, (min(p, q), max(p, q))] += 1
+        assert seen == Counter((k, pair) for k in range(6) for pair in pairs)
         assert Counter(name for name, _, _ in calls) == {
-            "masks": 6, "masked": 6 * pairs, "cosine": pairs}
+            "masks": 6, "masked": 6 * len(pairs), "cosine": len(pairs)}
 
     def test_reverse_call_reuses_terms_and_equals_fresh_formulas(self, local_provider,
                                                                  monkeypatch):
         loose = [analyze_program(py(s), local_provider) for s in PYTHON_CORPUS[:2]]
         weights = SimilarityWeights.uniform()
         fresh = []
+        real = confidence.masked_overlap
 
-        def counted(name, real):
-            def call(x, y):
-                fresh.append(name)
-                return real(x, y)
-            return call
+        def counted(x, y):
+            fresh.append(1)
+            return real(x, y)
 
-        monkeypatch.setattr(confidence, "_overlap", counted("walks", confidence._overlap))
-        monkeypatch.setattr(confidence, "masked_overlap",
-                            counted("masks", confidence.masked_overlap))
-        for form, masked_from in (("walks", confidence.MASKED_FROM), ("masks", 2)):
-            monkeypatch.setattr(confidence, "MASKED_FROM", masked_from)
-            a, b = confidence._one_set(loose)
-            fresh.clear()
-            # within one set, the forward call computes its six overlaps, its
-            # reverse and a repeat of the pair reuse them, and a different
-            # pair computes its own
-            computed = []
-            for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 1, a, b),
-                                   (0, 0, a, a)):
-                bd = pair_breakdown(i, j, a_i, a_j, weights)
-                computed.append(len(fresh))
-                assert (bd.text, bd.syntax, bd.dataflow, bd.embedding) == (
-                    sim_text(a_i.tokens, a_j.tokens),
-                    sim_syntax(a_i.subtree_bag, a_j.subtree_bag),
-                    sim_dataflow(a_i.dataflow, a_j.dataflow),
-                    sim_embed(a_i.embedding, a_j.embedding))
-            assert computed == [6, 6, 6, 6, 12]
-            assert fresh == [form] * 12
-        # analyses from no set walk the pair on every call
+        monkeypatch.setattr(confidence, "masked_overlap", counted)
+        a, b = confidence._one_set(loose)
+        # within one set, the forward call computes its six overlaps, its
+        # reverse and a repeat of the pair reuse them, and a different pair
+        # computes its own
+        computed = []
+        for i, j, a_i, a_j in ((0, 1, a, b), (1, 0, b, a), (1, 0, b, a), (0, 1, a, b),
+                               (0, 0, a, a)):
+            bd = pair_breakdown(i, j, a_i, a_j, weights)
+            computed.append(len(fresh))
+            assert (bd.text, bd.syntax, bd.dataflow, bd.embedding) == (
+                sim_text(a_i.tokens, a_j.tokens),
+                sim_syntax(a_i.subtree_bag, a_j.subtree_bag),
+                sim_dataflow(a_i.dataflow, a_j.dataflow),
+                sim_embed(a_i.embedding, a_j.embedding))
+        assert computed == [6, 6, 6, 6, 12]
+        # analyses from no set compute the pair's six overlaps on every call
         fresh.clear()
         for _ in range(2):
             pair_breakdown(0, 1, *loose, weights)
-        assert fresh == ["walks"] * 12
+        assert len(fresh) == 12
 
-    @pytest.mark.parametrize("distinct", [confidence.MASKED_FROM - 1, confidence.MASKED_FROM])
-    def test_both_forms_equal_around_the_threshold(self, distinct, local_provider, monkeypatch):
-        samples = sample_set(PYTHON_CORPUS[:distinct] + PYTHON_CORPUS[:3])
-        built = []
-        real = confidence.level_masks
-
-        def counted(multisets):
-            built.append(len(multisets))
-            return real(multisets)
-
-        def run():
-            return ([estimate_confidence(samples, w, local_provider).confidence.hex()
-                     for w in (SimilarityWeights.uniform(),
-                               SimilarityWeights(0.4, 0.3, 0.2, 0.1))]
-                    + [m.hex() for m in modality_means(samples, local_provider)])
-
-        monkeypatch.setattr(confidence, "level_masks", counted)
-        chosen = run()
-        assert bool(built) == (distinct >= confidence.MASKED_FROM)
-        monkeypatch.setattr(confidence, "MASKED_FROM", 2)
-        masks = run()
-        monkeypatch.setattr(confidence, "MASKED_FROM", distinct + 1)
-        walks = run()
-        assert chosen == masks == walks
+    @pytest.mark.parametrize("distinct", [1, 2, 5, 11, 12])
+    @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS),
+                                                 (Language.JAVA, JAVA_CORPUS)],
+                             ids=["python", "java"])
+    def test_scores_equal_the_walks(self, language, corpus, distinct, local_provider):
+        """Bit for bit, whatever the number of distinct programs: two more
+        copies of the first program join each set."""
+        sources = distinct_sources(corpus, distinct) + corpus[:1] * 2
+        samples = SampleSet("req-1", "a requirement",
+                            tuple(Program(s, language) for s in sources))
+        assert len(set(sources)) == distinct
+        assert ([estimate_confidence(samples, w, local_provider).confidence.hex()
+                 for w in (SimilarityWeights.uniform(),
+                           SimilarityWeights(0.4, 0.3, 0.2, 0.1))]
+                + [m.hex() for m in modality_means(samples, local_provider)]
+                == walk_scores(samples, local_provider))
 
     def test_threads_equal_serial_runs(self, local_provider):
         """Each set has its own ``_PairTable``, so no thread can see another

@@ -204,6 +204,10 @@ class TestThresholdSweep:
         sweep = threshold_sweep(self.sample_data())
         assert sweep[-1].shown_correct == 18
         assert sweep[-1].shown_erroneous == 2
+        # 0.22 + 99 * (0.2 / 99) rounds to 0.42000000000000004, past the top score
+        sweep = threshold_sweep(scored([(0.22, False), (0.42, True)], [(1, 4), (3, 4)]))
+        assert sweep[-1].threshold == 0.42
+        assert (sweep[-1].shown_correct, sweep[-1].shown_erroneous) == (3, 1)
 
     def test_counts_monotone_in_threshold(self):
         sweep = threshold_sweep(self.sample_data())

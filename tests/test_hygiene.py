@@ -242,3 +242,38 @@ def test_no_global_statement():
                   for node in ast.walk(ast.parse(p.read_text(), filename=str(p)))
                   if isinstance(node, (ast.Global, ast.Nonlocal))]
     assert not statements, f"global or nonlocal statements: {', '.join(statements)}"
+
+
+def _module_calls(tree, module):
+    """``(function, name)`` for each ``module.name(...)`` call, with the
+    innermost function that makes it (None at module level), and
+    ``(None, name)`` for each name imported ``from module``."""
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == module):
+            yield owner.get(node), node.func.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            yield from ((None, alias.name) for alias in node.names)
+
+
+def _calls_by_module(module):
+    sites = {p.name: set(_module_calls(ast.parse(p.read_text(), filename=str(p)), module))
+             for p in sorted(SRC.glob("*.py"))}
+    return {name: calls for name, calls in sites.items() if calls}
+
+
+def test_only_post_json_calls_requests():
+    """One HTTP retry helper: ``client._post_json`` makes every request."""
+    assert _calls_by_module("requests") == {"client.py": {("_post_json", "post")}}
+
+
+def test_only_analysis_parses_python():
+    """Python programs are parsed in ``analysis`` alone, whose recovery loop
+    and lock hold every ``ast.parse`` call."""
+    parsing = {name: calls for name, calls in _calls_by_module("ast").items()
+               if any(called == "parse" for _, called in calls)}
+    assert set(parsing) == {"analysis.py"}, f"modules that parse: {parsing}"
