@@ -4,8 +4,11 @@ Python programs are parsed with the stdlib ``ast`` module (with line-trimming
 error recovery so malformed LLM output still yields a tree). Java programs go
 through a lightweight structural parser over the Pygments token stream: brace
 blocks, semicolon statements, and parenthesized groups become internal nodes,
-keywords and literals become leaf kinds. Both languages produce the same
-``CstNode`` shape, so downstream similarity code is language-agnostic.
+keywords and literals become leaf kinds. Both languages come out as the same
+``Walk``, the (kind, child count) of each node in pre-order: Python's straight
+from its ``ast`` walk, Java's flattened from its ``CstNode`` tree. Subtree
+fingerprints, and the ``CstNode`` tree ``parse_cst`` returns, are both read off
+that walk, so downstream similarity code is language-agnostic.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
 
-from .model import Language, Lexed, Program, lex
+from .model import Language, Lexed, Program, lex, token_class
 
 DEFAULT_SUBTREE_HEIGHT = 2
 
@@ -27,6 +30,12 @@ DEFAULT_SUBTREE_HEIGHT = 2
 class CstNode(NamedTuple):
     kind: str
     children: tuple["CstNode", ...] = ()
+
+
+# (kind, child count) of each node of a tree in pre-order, a node's last child
+# first: read backwards, each node comes right after its children, first child
+# first, so trees and fingerprints are built bottom-up with no recursion.
+Walk = list[tuple[str, int]]
 
 
 @dataclass(frozen=True)
@@ -161,16 +170,16 @@ _PY_BINDINGS = {
 }
 
 
-def _convert_py(module: ast.Module, dropped: int) -> tuple[CstNode, Counter]:
-    """``module`` as a CstNode, with one ERROR leaf per dropped line after the
-    surviving nodes, and its def-use edges.
+def _convert_py(module: ast.Module, dropped: int) -> tuple[Walk, Counter]:
+    """The walk of ``module``'s tree, with one ERROR leaf per dropped line after
+    the surviving children of the root, and its def-use edges.
 
-    One pre-order walk on an explicit stack, then a stack of built nodes:
-    nesting depth is bounded by memory, not by the recursion limit. The walk
-    lists the names it meets, in its order, with their Load or Store context; a
-    name called directly is no read and is left out. Each read or written field
-    of a binding is walked between two marks, which record where that field's
-    names start and end in the list, so the edges are read off after the walk.
+    One pre-order walk on an explicit stack: nesting depth is bounded by
+    memory, not by the recursion limit. The walk lists the names it meets, in
+    its order, with their Load or Store context; a name called directly is no
+    read and is left out. Each read or written field of a binding is walked
+    between two marks, which record where that field's names start and end in
+    the list, so the edges are read off after the walk.
     """
     walk, stack, names, called, marks, bindings = [], [module], [], set(), [], []
     while stack:
@@ -207,12 +216,10 @@ def _convert_py(module: ast.Module, dropped: int) -> tuple[CstNode, Counter]:
                 children = [x for c in children for x in (
                     (at[id(c)] + 1, c, at[id(c)]) if id(c) in at else (c,))]
         stack += children
-    built: list[CstNode] = []
-    for kind, count in reversed(walk):
-        # a node's children were built just before it, first child deepest
-        start = len(built) - count
-        built[start:] = [CstNode(kind, tuple(built[start:]))]
-    (root,) = built
+    # the ERROR leaves are the root's last children, so walked right after it
+    kind, count = walk[0]
+    walk[0] = (kind, count + dropped)
+    walk[1:1] = [("ERROR", 0)] * dropped
     edges: Counter = Counter()
     for first, count, also_read in bindings:
         spans = [names[marks[m]:marks[m + 1]] for m in range(first, first + 2 * count, 2)]
@@ -221,7 +228,7 @@ def _convert_py(module: ast.Module, dropped: int) -> tuple[CstNode, Counter]:
             writes = [n for n, ctx in span if ctx is ast.Store]
             reads = loads + [n for n, ctx in span if ctx is also_read]
             edges.update((r, w) for w in writes for r in reads)
-    return CstNode(root.kind, root.children + (CstNode("ERROR"),) * dropped), edges
+    return walk, edges
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +258,20 @@ def _java_tokens(lexed: Lexed) -> list[tuple[str, str]]:
     """(kind, text) pairs of a ``lex`` stream, comments and whitespace removed."""
     out = []
     for tok, text in lexed:
-        if tok in Comment or text.strip() == "":
+        cls = token_class(tok)
+        if cls is Comment or text.strip() == "":
             continue
-        if tok in String:
+        if cls is String:
             out.append(("string_literal", text))
-        elif tok in Number:
+        elif cls is Number:
             out.append(("number_literal", text))
-        elif tok in Keyword:
+        elif cls is Keyword:
             out.append(("kw_" + text.strip(), text.strip()))
-        elif tok in Name:
+        elif cls is Name:
             out.append(("identifier", text.strip()))
-        elif tok in Operator:
+        elif cls is Operator:
             out.append(("op_" + text.strip(), text.strip()))
-        elif tok in Punctuation:
+        elif cls is Punctuation:
             out.append((text.strip(), text.strip()))
         else:
             out.append(("token", text.strip()))
@@ -360,36 +368,51 @@ def parse_cst(program: Program) -> CstNode:
     Malformed input yields a tree containing ERROR nodes rather than failing:
     for Python, one ERROR leaf per dropped line, after the surviving nodes.
     """
-    return _cst_and_dataflow(program)[0]
+    built: list[CstNode] = []
+    for kind, count in reversed(_walk_and_dataflow(program)[0]):
+        # a node's children were built just before it, first child deepest
+        start = len(built) - count
+        built[start:] = [CstNode(kind, tuple(built[start:]))]
+    (root,) = built
+    return root
 
 
-def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> Bag:
-    """One fingerprint per internal node: its kind plus descendant kinds down
-    to the given height, serialized canonically. Position-independent.
-
-    Built bottom-up over a pre-order walk, as ``_convert_py`` builds nodes: a
-    node's fingerprint of height h + 1 joins its children's of height h, and a
-    leaf's is its kind at every height."""
-    if height < 1:
-        raise ValueError("height must be >= 1")
+def _flatten(tree: CstNode) -> Walk:
+    """The walk of a tree: the inverse of ``parse_cst``'s build."""
     walk, stack = [], [tree]
     while stack:
         node = stack.pop()
-        walk.append(node)
+        walk.append((node.kind, len(node.children)))
         stack += node.children
+    return walk
+
+
+def _fingerprints(walk: Walk, height: int = DEFAULT_SUBTREE_HEIGHT) -> Bag:
+    """``extract_subtrees`` of the tree ``walk`` lists. Built bottom-up, as
+    ``parse_cst`` builds nodes: a node's fingerprint of height h + 1 joins its
+    children's of height h, and a leaf's is its kind at every height."""
+    if height < 1:
+        raise ValueError("height must be >= 1")
     bag: Counter = Counter()
     prints: list[list[str]] = []  # of each node built, its fingerprints of height 0..height-1
-    for kind, children in reversed(walk):
-        if not children:
+    for kind, count in reversed(walk):
+        if not count:
             prints.append([kind] * height)
             continue
-        start = len(prints) - len(children)
+        start = len(prints) - count
         # the children's fingerprints of each height, first child first
         node_prints = [kind, *(kind + "(" + ")(".join(row) + ")"
                                for row in zip(*prints[start:]))]
         bag[node_prints.pop()] += 1
         prints[start:] = [node_prints]
     return Bag(bag)
+
+
+def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> Bag:
+    """One fingerprint per internal node: its kind plus descendant kinds down
+    to the given height, serialized canonically. Position-independent. Read
+    off the tree's walk, as a Python analysis reads them off its ``ast`` walk."""
+    return _fingerprints(_flatten(tree), height)
 
 
 # ---------------------------------------------------------------------------
@@ -436,16 +459,16 @@ def extract_dataflow(program: Program) -> Bag:
     For each assignment, every variable read on the right-hand side emits an
     edge to each variable defined on the left-hand side.
     """
-    return _cst_and_dataflow(program)[1]
+    return _walk_and_dataflow(program)[1]
 
 
-def _cst_and_dataflow(program: Program,
-                      lexed: Lexed | None = None) -> tuple[CstNode, Bag]:
-    """``(parse_cst(program), extract_dataflow(program))`` from one parse: Python's
-    source (with its error recovery), or Java's ``lexed`` (``lex(program)`` if None)."""
+def _walk_and_dataflow(program: Program, lexed: Lexed | None = None) -> tuple[Walk, Bag]:
+    """The walk of ``parse_cst(program)`` and ``extract_dataflow(program)``, from
+    one parse: Python's source (with its error recovery), or Java's ``lexed``
+    (``lex(program)`` if None). Python builds no ``CstNode``."""
     if program.language is Language.PYTHON:
-        tree, edges = _convert_py(*_parse_python_ast(program.source))
+        walk, edges = _convert_py(*_parse_python_ast(program.source))
     else:
         tokens = _java_tokens(lex(program) if lexed is None else lexed)
-        tree, edges = _parse_java(tokens), _java_dataflow(tokens)
-    return tree, Bag(edges)
+        walk, edges = _flatten(_parse_java(tokens)), _java_dataflow(tokens)
+    return walk, Bag(edges)

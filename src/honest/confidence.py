@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import Bag, _cst_and_dataflow, extract_subtrees
+from .analysis import Bag, _fingerprints, _walk_and_dataflow
 from .dataset import _open_text, write_text
 from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed, prefetch
 from .errors import DegenerateLabels, TooFewSamples
@@ -58,14 +58,14 @@ class ProgramAnalysis:
 
 def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> ProgramAnalysis:
     """Tokens, subtree bag, dataflow and embedding from at most one Pygments
-    pass: Java's stream feeds its tokens and parse, and Python's tree and
+    pass: Java's stream feeds its tokens and parse, and Python's walk and
     dataflow come from the source, so only its tokens may need Pygments."""
     lexed = lex(program) if program.language is Language.JAVA else None
     tokens = tokenize(program) if lexed is None else token_sequence(lexed)
-    tree, dataflow = _cst_and_dataflow(program, lexed)
+    walk, dataflow = _walk_and_dataflow(program, lexed)
     return ProgramAnalysis(
         tokens=tokens,
-        subtree_bag=extract_subtrees(tree),
+        subtree_bag=_fingerprints(walk),
         dataflow=dataflow,
         embedding=_embed(program.source, lambda: tokens, provider),
     )

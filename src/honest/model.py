@@ -11,11 +11,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from pygments.lexers import JavaLexer, PythonLexer
-from pygments.token import Comment, String, _TokenType
+from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String, _TokenType
 
 from .errors import UnknownLanguage
 
@@ -114,6 +114,17 @@ _LEXERS = {
 }
 Lexed = list[tuple[_TokenType, str]]  # a Pygments (token type, text) stream
 
+# The token classes the package tells apart, none inside another.
+_TOKEN_CLASSES = (Comment, String, Number, Keyword, Name, Operator, Punctuation)
+
+
+# Pygments' ``tok in String`` is a method written in Python, called once per
+# class tried; its lexers for the two languages emit well under 256 token types.
+@lru_cache(maxsize=256)
+def token_class(tok: _TokenType) -> _TokenType | None:
+    """The one of ``_TOKEN_CLASSES`` that holds ``tok``, or None."""
+    return next((cls for cls in _TOKEN_CLASSES if tok in cls), None)
+
 
 def lex(program: Program) -> Lexed:
     """The program's Pygments stream, comments and whitespace included: the one
@@ -128,13 +139,14 @@ def token_sequence(lexed: Lexed) -> TokenSequence:
     tokens: list[str] = []
     string_run: list[str] = []
     for kind, text in lexed:
-        if kind in String:
+        cls = token_class(kind)
+        if cls is String:
             string_run.append(text)
             continue
         if string_run:
             tokens.append("".join(string_run))
             string_run = []
-        if kind in Comment:
+        if cls is Comment:
             continue
         if text.strip() == "":
             continue

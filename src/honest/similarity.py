@@ -182,10 +182,12 @@ def sim_embed(e_i: EmbeddingVector, e_j: EmbeddingVector) -> float:
 
 def sim_hybrid(text: float, syntax: float, dataflow: float, embedding: float,
                weights: SimilarityWeights) -> float:
-    for name, value in (("text", text), ("syntax", syntax),
-                        ("dataflow", dataflow), ("embedding", embedding)):
-        if not 0.0 <= value <= 1.0:
-            raise ComponentOutOfRange(f"{name} similarity out of [0, 1]: {value}")
+    if not (0.0 <= text <= 1.0 and 0.0 <= syntax <= 1.0
+            and 0.0 <= dataflow <= 1.0 and 0.0 <= embedding <= 1.0):
+        for name, value in (("text", text), ("syntax", syntax),
+                            ("dataflow", dataflow), ("embedding", embedding)):
+            if not 0.0 <= value <= 1.0:
+                raise ComponentOutOfRange(f"{name} similarity out of [0, 1]: {value}")
     mixed = (weights.alpha * text + weights.beta * syntax
              + weights.gamma * dataflow + weights.delta * embedding)
     return min(1.0, max(0.0, mixed))

@@ -28,7 +28,7 @@ from honest.analysis import (
     extract_subtrees,
     parse_cst,
 )
-from honest.confidence import estimate_confidence
+from honest.confidence import analyze_program, estimate_confidence
 from honest.model import Language, Program, SampleSet, lex
 from honest.similarity import SimilarityWeights
 
@@ -652,17 +652,6 @@ def bench_python_sources():
     return list(dict.fromkeys(sources))
 
 
-def _preorder(tree):
-    """(kind, child count) of each node, in pre-order: equal lists, equal trees.
-    Compared this way because == on CstNodes recurses once per level."""
-    walk, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        walk.append((node.kind, len(node.children)))
-        stack += reversed(node.children)
-    return walk
-
-
 # Lines that broke early versions of the recovery that resumes from marks: a
 # column-0 line dropped with indented lines below it, calls that CPython's
 # error-reporting pass reads as soft-keyword statements, clauses and a decorator
@@ -710,8 +699,8 @@ class TestPythonConversionIterative:
         module, dropped = _parse_python_ast(source)
         seed_module, seed_dropped = seed_parse_python_ast(source)
         assert dropped == seed_dropped
-        assert _preorder(_convert_py(module, dropped)[0]) == _preorder(
-            _convert_py(seed_module, seed_dropped)[0])
+        # equal walks, equal trees; == on CstNodes would recurse once per level
+        assert _convert_py(module, dropped)[0] == _convert_py(seed_module, seed_dropped)[0]
 
 
 @pytest.mark.parametrize("source, drops, parses", [
@@ -790,3 +779,73 @@ class TestPythonLineBreaks:
             rewritten = damaged.replace("\n", ending)
             assert _parse_python_ast(rewritten)[1] == dropped
             assert parse_cst(py(rewritten)) == tree
+
+
+def seed_extract_subtrees(tree, height):
+    """``extract_subtrees`` as it read before the walk was shared: its own
+    walk of the ``CstNode`` tree, fingerprints built bottom-up."""
+    walk, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        walk.append(node)
+        stack += node.children
+    bag = Counter()
+    prints = []
+    for kind, children in reversed(walk):
+        if not children:
+            prints.append([kind] * height)
+            continue
+        start = len(prints) - len(children)
+        node_prints = [kind, *(kind + "(" + ")(".join(row) + ")"
+                               for row in zip(*prints[start:]))]
+        bag[node_prints.pop()] += 1
+        prints[start:] = [node_prints]
+    return Bag(bag)
+
+
+_kinds = st.sampled_from(["Module", "Name", "ERROR", "a", "b(c)", ""])
+cst_trees = st.recursive(
+    _kinds.map(CstNode),
+    lambda children: st.builds(CstNode, _kinds, st.lists(children, max_size=4).map(tuple)),
+    max_leaves=40)
+
+
+class TestSharedWalk:
+    """Python's subtree bags come straight from its ``ast`` walk; every other
+    bag from a ``CstNode`` tree's walk, through the same fingerprint routine."""
+
+    @given(tree=cst_trees, height=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_walk_fingerprints_equal_the_tree_routine(self, tree, height):
+        want = seed_extract_subtrees(tree, height)
+        assert analysis._fingerprints(analysis._flatten(tree), height) == want
+        assert extract_subtrees(tree, height) == want
+
+    @pytest.mark.parametrize("program", [
+        *(py(s) for s in PYTHON_CORPUS), *(java(s) for s in JAVA_CORPUS),
+        *(py(bench_gen().long_python(random.Random(seed), 120, 40)) for seed in range(3)),
+        py("x = " + "(" * 10000 + "y" + ")" * 10000 + "\nz = x\n"),
+        py("x = " + "-" * 10000 + "y\nz = x\n"),
+        *(py(s) for s, _ in PARSED_DEEP_PYTHON.values()),
+        java(nested_java(10000)),
+        java("{" * 10000 + "x = y;" + "}" * 10000),
+    ], ids=lambda p: f"{p.language.value}-{len(p.source)}")
+    def test_analysis_equals_the_public_functions(self, program, local_provider):
+        analysed = analyze_program(program, local_provider)
+        assert analysed.subtree_bag == extract_subtrees(parse_cst(program))
+        assert analysed.dataflow == extract_dataflow(program)
+
+    def test_python_analysis_builds_no_tree(self, local_provider, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return CstNode(*args)
+
+        monkeypatch.setattr(analysis, "CstNode", counted)
+        damaged = bench_gen().long_python(random.Random(0), 60, 20)
+        for source in (*PYTHON_CORPUS, damaged, ""):
+            analyze_program(py(source), local_provider)
+        assert built == []
+        analyze_program(java(JAVA_CORPUS[0]), local_provider)  # the count sees Java's tree
+        assert built

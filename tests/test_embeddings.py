@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from honest import embeddings
-from honest.confidence import analyze_program
+from honest.confidence import analyze_program, estimate_confidence
 from honest.embeddings import (
     EmbeddingProviderConfig,
     EmbeddingVector,
@@ -19,7 +19,8 @@ from honest.embeddings import (
     prefetch,
 )
 from honest.errors import DimensionMismatch, ProviderUnavailable, ZeroVector
-from honest.model import Language, Program, TokenSequence, tokenize
+from honest.similarity import SimilarityWeights
+from honest.model import Language, Program, SampleSet, TokenSequence, tokenize
 from mock_server import EMBEDDING_INPUT_CAP
 
 
@@ -127,6 +128,53 @@ class TestLocalHashedOracle:
             calls.clear()
             embedded()
             assert len(calls) == len(unigrams) + len(bigrams)
+
+    @given(st.text(st.characters(exclude_categories=())), st.sampled_from([64, 100, 256]))
+    @example("", 64)
+    @example("\x00", 256)
+    @example("a\x00b", 100)
+    @example("\ud800", 64)
+    @example("x\udfff\x00", 256)
+    @settings(max_examples=300, deadline=None)
+    def test_bucket_equals_a_one_shot_keyed_hash(self, feature, dimension):
+        digest = hashlib.blake2b(feature.encode("utf-8", "surrogatepass"),
+                                 key=b"honest-localhashed-v1", digest_size=8).digest()
+        value = int.from_bytes(digest, "big")
+        want = ((value >> 1) % dimension, 1.0 if value & 1 else -1.0)
+        assert embeddings._bucket(feature, dimension) == want
+        embeddings._bucket.cache_clear()
+        assert embeddings._bucket(feature, dimension) == want
+
+    def test_a_set_hashes_each_distinct_feature_once(self, local_provider, monkeypatch):
+        hashed = []
+
+        class CountedHash:
+            """The keyed state, recording what each of its copies hashes."""
+
+            def __init__(self, state):
+                self.state = state
+
+            def copy(self):
+                return CountedHash(self.state.copy())
+
+            def update(self, data):
+                hashed.append(data)
+                self.state.update(data)
+
+            def digest(self):
+                return self.state.digest()
+
+        embeddings._bucket.cache_clear()  # whatever ran before, start cold
+        monkeypatch.setattr(embeddings, "_KEYED_HASH", CountedHash(embeddings._KEYED_HASH))
+        programs = [py(s) for s in PYTHON_CORPUS] * 2
+        samples = SampleSet("corpus", "", tuple(programs))
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+        features = {"\x00".join(gram) for p in programs
+                    for grams in tokenize(p).ngrams[:2] for gram in grams}
+        assert len(hashed) == len(set(hashed))
+        assert set(hashed) == {f.encode("utf-8", "surrogatepass") for f in features}
+        assert len(hashed) < sum(len(grams) for p in programs[:len(PYTHON_CORPUS)]
+                                 for grams in tokenize(p).ngrams[:2])
 
 
 class TestRemote:

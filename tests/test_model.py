@@ -4,9 +4,12 @@ import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pygments.token import Comment, String
 from test_analysis import bench_python_sources
+from test_confidence import program_text
 
 from honest.model import (
+    _TOKEN_CLASSES,
     Language,
     Origin,
     Program,
@@ -15,6 +18,7 @@ from honest.model import (
     _python_tokens,
     lex,
     ngram_counts,
+    token_class,
     token_sequence,
     tokenize,
 )
@@ -59,6 +63,34 @@ class TestTokenize:
     def test_no_empty_tokens_in_corpus(self):
         for source in PYTHON_CORPUS:
             assert all(tokenize(py(source)).tokens)
+
+
+def seed_token_sequence(lexed):
+    """``token_sequence`` as first written, testing each token's type with ``in``."""
+    tokens, string_run = [], []
+    for kind, text in lexed:
+        if kind in String:
+            string_run.append(text)
+            continue
+        if string_run:
+            tokens.append("".join(string_run))
+            string_run = []
+        if kind in Comment or text.strip() == "":
+            continue
+        tokens.append(text.strip())
+    if string_run:
+        tokens.append("".join(string_run))
+    return tuple(tokens)
+
+
+@given(source=program_text, language=st.sampled_from(list(Language)))
+@settings(max_examples=200, deadline=None)
+def test_token_classes_read_as_membership_does(source, language):
+    lexed = lex(Program(source, language))
+    assert token_sequence(lexed).tokens == seed_token_sequence(lexed)
+    for kind, _ in lexed:
+        cls = token_class(kind)
+        assert [c for c in _TOKEN_CLASSES if kind in c] == ([] if cls is None else [cls])
 
 
 def pygments_tokens(source):

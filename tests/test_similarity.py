@@ -173,6 +173,19 @@ class TestSimHybrid:
         with pytest.raises(ComponentOutOfRange):
             sim_hybrid(1.2, 0.5, 0.5, 0.5, SimilarityWeights.uniform())
 
+    @pytest.mark.parametrize("bad", [float("nan"), -0.0001, 1.2, float("inf")])
+    @pytest.mark.parametrize("at, name", enumerate(["text", "syntax", "dataflow", "embedding"]))
+    def test_out_of_range_message_names_the_modality(self, at, name, bad):
+        values = [0.5, 1.0, 0.0, 0.25]
+        values[at] = bad
+        with pytest.raises(ComponentOutOfRange) as raised:
+            sim_hybrid(*values, SimilarityWeights.uniform())
+        assert str(raised.value) == f"{name} similarity out of [0, 1]: {bad}"
+
+    def test_first_bad_modality_is_named(self):
+        with pytest.raises(ComponentOutOfRange, match="^syntax similarity out of"):
+            sim_hybrid(0.5, float("nan"), 2.0, -1.0, SimilarityWeights.uniform())
+
     def test_weights_validated(self):
         with pytest.raises(ValueError):
             SimilarityWeights(0.5, 0.5, 0.5, 0.5)
