@@ -172,9 +172,8 @@ def knn_confidence(requirement: str, index: Bm25Index | EmbeddingCorpus,
 
 
 def tune_k(train_queries: Sequence[str], train_labels: Sequence[bool],
-           index: Bm25Index | EmbeddingCorpus,
-           sweep: Sequence[int] = K_SWEEP) -> int:
-    """Pick k from the sweep by leave-one-out training AUROC, smallest k on ties.
+           index: Bm25Index | EmbeddingCorpus) -> int:
+    """Pick k from K_SWEEP by leave-one-out training AUROC, smallest k on ties.
 
     The index holds the training requirements in query order, so query q is
     ranked against every stored requirement but position q: it cannot find
@@ -183,11 +182,11 @@ def tune_k(train_queries: Sequence[str], train_labels: Sequence[bool],
     one label has no AUROC, so it gets the first k.
     """
     if len(index) == 1:
-        return sweep[0]
+        return K_SWEEP[0]
     ranked = [_ranked_labels(query, index, held_out=q)
               for q, query in enumerate(train_queries)]
-    best_k, best_score = sweep[0], -1.0
-    for k in sweep:
+    best_k, best_score = K_SWEEP[0], -1.0
+    for k in K_SWEEP:
         cfg = KnnConfig(k=k)
         try:
             score = rank_auroc([_passed_fraction(r, cfg) for r in ranked],

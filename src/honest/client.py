@@ -79,6 +79,8 @@ class SamplingConfig:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.temperature <= 2.0:
             raise ValueError("temperature must be in [0, 2]")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 

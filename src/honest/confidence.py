@@ -15,7 +15,6 @@ from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import mann_whitney_auroc
 from .model import Language, Program, SampleSet, TokenSequence, lex, token_sequence, tokenize
 from .similarity import (
-    _SUM_TOL,
     SimilarityBreakdown,
     SimilarityWeights,
     clipped_ratio,
@@ -26,7 +25,8 @@ from .similarity import (
     text_ratio,
 )
 
-GRID_STEP = 0.05
+GRID_UNITS = 20  # the weight grid splits 1 into 20 steps of 0.05
+GRID_STEP = 1 / GRID_UNITS
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,15 @@ class _PairTable:
         self.terms: dict[tuple[int, int], tuple] = {}
 
     def pair(self, p: int, q: int) -> tuple:
-        key = (p, q) if p <= q else (q, p)
-        terms = self.terms.get(key)
+        p, q = (p, q) if p <= q else (q, p)
+        terms = self.terms.get((p, q))
         if terms is None:
-            terms = self.terms[key] = self._compute(*key)
+            if self.masks is None:
+                self.masks = list(zip(*map(level_masks, zip(*map(_multisets, self.analyses)))))
+            terms = self.terms[p, q] = (
+                *map(masked_overlap, self.masks[p], self.masks[q]),
+                sim_embed(self.analyses[p].embedding, self.analyses[q].embedding))
         return terms
-
-    def _compute(self, p: int, q: int) -> tuple:
-        a, b = self.analyses[p], self.analyses[q]
-        if self.masks is None:
-            self.masks = list(zip(*map(level_masks, zip(*map(_multisets, self.analyses)))))
-        return (*map(masked_overlap, self.masks[p], self.masks[q]),
-                sim_embed(a.embedding, b.embedding))
 
 
 def _one_set(analyses: Sequence[ProgramAnalysis]) -> list[ProgramAnalysis]:
@@ -144,10 +141,11 @@ def _pairs(samples: SampleSet, weights: SimilarityWeights,
     The analysis reads only a program's source and the set's one language,
     so identical sources are analysed once, at the index where the source
     first appears; a remote provider embeds them all in one request first.
-    Each distinct ordered pair of those first indices is compared once, the
-    two orders of a pair one right after the other, so the second reuses the
-    first's symmetric terms. Copies share that one breakdown, so its ``i``
-    and ``j`` are the first indices, not the pair's own.
+    One walk over the rows maps each pair to the first indices of its two
+    sources. The first pair to reach an ordered pair of first indices calls
+    ``pair_breakdown`` for it; later copies reuse that breakdown, so its
+    ``i`` and ``j`` are the first indices, not the pair's own. The two orders
+    of a pair share their symmetric terms through the set's pair table.
     """
     n = len(samples)
     if n < 2:
@@ -159,15 +157,14 @@ def _pairs(samples: SampleSet, weights: SimilarityWeights,
     analyses = dict(zip(distinct, _one_set(
         [analyze_program(samples.programs[k], provider) for k in distinct])))
     memo: dict[tuple[int, int], SimilarityBreakdown] = {}
-    for x, ki in enumerate(distinct):
-        for kj in distinct[x + 1:]:
-            memo[ki, kj] = pair_breakdown(ki, kj, analyses[ki], analyses[kj], weights)
-            memo[kj, ki] = pair_breakdown(kj, ki, analyses[kj], analyses[ki], weights)
-    for k, copies in Counter(keys).items():
-        if copies > 1:
-            memo[k, k] = pair_breakdown(k, k, analyses[k], analyses[k], weights)
-    return [memo[ki, kj] for i, ki in enumerate(keys)
-            for j, kj in enumerate(keys) if i != j]
+    pairs = []
+    for i, ki in enumerate(keys):
+        for j, kj in enumerate(keys):
+            if i != j:
+                if (ki, kj) not in memo:
+                    memo[ki, kj] = pair_breakdown(ki, kj, analyses[ki], analyses[kj], weights)
+                pairs.append(memo[ki, kj])
+    return pairs
 
 
 def estimate_confidence(samples: SampleSet, weights: SimilarityWeights,
@@ -195,26 +192,23 @@ def modality_means(samples: SampleSet,
     return tuple(s / len(pairs) for s in sums)  # type: ignore[return-value]
 
 
-def weight_grid(step: float = GRID_STEP) -> list[SimilarityWeights]:
-    """All non-negative weight 4-tuples on the simplex, in lexicographic order.
-
-    *step* must divide 1 into a whole number of parts; otherwise ValueError."""
-    units = round(1.0 / step) if step > 0 else 0
-    if not abs(units * step - 1.0) <= _SUM_TOL:
-        raise ValueError(f"grid step {step!r} does not divide 1 into equal parts")
+def weight_grid() -> list[SimilarityWeights]:
+    """Every split of ``GRID_UNITS`` whole steps of ``GRID_STEP`` among the
+    four weights, the paper's 1,771 points of the simplex, in lexicographic
+    order."""
     grid = []
-    for a in range(units + 1):
-        for b in range(units + 1 - a):
-            for c in range(units + 1 - a - b):
-                d = units - a - b - c
-                grid.append(SimilarityWeights(a * step, b * step, c * step, d * step))
+    for a in range(GRID_UNITS + 1):
+        for b in range(GRID_UNITS + 1 - a):
+            for c in range(GRID_UNITS + 1 - a - b):
+                d = GRID_UNITS - a - b - c
+                grid.append(SimilarityWeights(a * GRID_STEP, b * GRID_STEP,
+                                              c * GRID_STEP, d * GRID_STEP))
     return grid
 
 
 def tune_weights_from_modality_means(
         means: Sequence[tuple[float, float, float, float]],
-        labels: Sequence[bool],
-        step: float = GRID_STEP) -> TuningResult:
+        labels: Sequence[bool]) -> TuningResult:
     """Exhaustive simplex grid search maximizing training AUROC.
 
     The rows are split by label once; per grid point each row's score is
@@ -230,7 +224,7 @@ def tune_weights_from_modality_means(
     neg = [m for m, label in zip(means, labels) if not label]
     best: Optional[SimilarityWeights] = None
     best_auroc = -1.0
-    grid = weight_grid(step)
+    grid = weight_grid()
     for w in grid:
         a, b, c, d = w.as_tuple()
         score = mann_whitney_auroc(
@@ -243,18 +237,15 @@ def tune_weights_from_modality_means(
 
 
 def tune_weights(train: Sequence[tuple[SampleSet, bool]],
-                 provider: EmbeddingProviderConfig,
-                 step: float = GRID_STEP) -> TuningResult:
+                 provider: EmbeddingProviderConfig) -> TuningResult:
     """Tune (alpha, beta, gamma, delta) on labeled sample sets.
 
     Modality similarities are computed once per sample set and re-mixed for
     every grid point.
     """
-    if len({label for _, label in train}) < 2:
-        raise DegenerateLabels("training data contains a single class")
     means = [modality_means(s, provider) for s, _ in train]
     labels = [label for _, label in train]
-    return tune_weights_from_modality_means(means, labels, step)
+    return tune_weights_from_modality_means(means, labels)
 
 
 def save_weights(result: TuningResult, path: str | Path) -> None:
@@ -265,4 +256,7 @@ def save_weights(result: TuningResult, path: str | Path) -> None:
 def load_weights(path: str | Path) -> SimilarityWeights:
     with _open_text(path) as fh:
         data = json.load(fh)
-    return SimilarityWeights(data["alpha"], data["beta"], data["gamma"], data["delta"])
+    values = [data[name] for name in ("alpha", "beta", "gamma", "delta")]
+    if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+        raise ValueError(f"weights must be JSON numbers, got {values}")
+    return SimilarityWeights(*values)

@@ -10,7 +10,8 @@ Behavior is steered by markers embedded in the prompt text:
 Judge prompts (containing "Answer with exactly one word") get a fixed
 Yes/No top-logprobs distribution, overridable via server.judge_alternatives.
 Embedding requests get one vector per ``input`` item, in order; a text that
-starts with FIXEDVEC gets (0.6, 0.8). server.embedding_requests counts them.
+starts with FIXEDVEC gets (0.6, 0.8), and one that starts with ZEROVEC gets
+(0.0, 0.0). server.embedding_requests counts them.
 server.requests records each request as (path, headers), in arrival order.
 An ``input`` of more than EMBEDDING_INPUT_CAP items gets HTTP 400, as from
 text-embeddings-inference at its default --max-client-batch-size.
@@ -100,6 +101,8 @@ class MockLLMServer:
     def _vector(text: str) -> list[float]:
         if text.startswith("FIXEDVEC"):
             return [0.6, 0.8]
+        if text.startswith("ZEROVEC"):
+            return [0.0, 0.0]
         h = _stable_hash(text)
         return [((h >> (8 * i)) & 0xFF) / 255.0 + 0.01 for i in range(8)]
 

@@ -189,7 +189,7 @@ class TestKnn:
 
     def test_tune_k_smallest_on_ties(self):
         index = Bm25Index.build(self.REQS, self.LABELS)
-        k = tune_k(self.REQS, self.LABELS, index, sweep=(1, 3))
+        k = tune_k(self.REQS, self.LABELS, index)
         assert k == 1
 
     def test_tune_k_returns_swept_value(self, local_provider):
@@ -199,13 +199,14 @@ class TestKnn:
 
     def test_tune_k_leaves_each_query_out(self):
         # ranked against itself every query's k=1 fraction is its own label
-        # (AUROC 1.0); without itself k=1 reads [0, 1, 1, 1, 1] (AUROC 0.25)
-        # and k=3 reads 1/3 everywhere (AUROC 0.5)
+        # (AUROC 1.0); without itself k=1 reads [0, 1, 1, 1, 1] (AUROC 0.25),
+        # k=3 reads 1/3 everywhere (AUROC 0.5), and k=5 and up read all four
+        # others, 1/4 for each passed query and 1/2 for each failed (AUROC 0)
         reqs = ["file json list", "tree", "sort", "list", "file"]
         labels = [True, False, False, False, True]
         index = Bm25Index.build(reqs, labels)
         assert _ranked_labels(reqs[0], index, held_out=0) == [False, True, False, False]
-        assert tune_k(reqs, labels, index, sweep=(1, 3)) == 3
+        assert tune_k(reqs, labels, index) == 3
 
     def test_tune_k_counts_a_copy_of_the_query(self):
         reqs = ["parse json", "sort the list", "parse json"]
@@ -214,12 +215,13 @@ class TestKnn:
         assert _ranked_labels(reqs[0], index, held_out=0) == [False, False]
         assert _ranked_labels(reqs[2], index, held_out=2) == [True, False]
         # k=1 reads the copy's label: [0, 1, 1] against [T, F, F], AUROC 0;
-        # k=2 reads [0, 0.5, 0.5], AUROC 0 too, so the smaller k
-        assert tune_k(reqs, labels, index, sweep=(1, 2)) == 1
+        # k=3 and up read both others, [0, 0.5, 0.5], AUROC 0 too, so the
+        # smallest k
+        assert tune_k(reqs, labels, index) == 1
 
     def test_tune_k_single_requirement(self):
         index = Bm25Index.build(["sort"], [True])
-        assert tune_k(["sort"], [True], index, sweep=(3, 1)) == 3
+        assert tune_k(["sort"], [True], index) == K_SWEEP[0]
 
 
 # Local copies of the per-query loops: BM25 idf recomputed for every term of
@@ -268,13 +270,13 @@ def pair_count_auroc(scores, labels):
     return wins / (len(pos) * len(neg))
 
 
-def per_k_tune_k(queries, labels, index, sweep):
+def per_k_tune_k(queries, labels, index):
     """Leave-one-out: the index holds the queries in order, and query q is
     ranked against all of it but position q."""
     if len(index) == 1:
-        return sweep[0]
-    best_k, best_score = sweep[0], -1.0
-    for k in sweep:
+        return K_SWEEP[0]
+    best_k, best_score = K_SWEEP[0], -1.0
+    for k in K_SWEEP:
         score = pair_count_auroc([per_call_knn(q, index, k, held_out=i)
                                   for i, q in enumerate(queries)], labels)
         if score > best_score:
@@ -326,5 +328,5 @@ class TestSameAsPerQueryLoops:
         for q in queries:
             for k in (1, 3, 50):
                 assert knn_confidence(q, index, KnnConfig(k=k)) == per_call_knn(q, index, k)
-        for sweep in (K_SWEEP, (1, 2, 3)):  # trained on the index's own requirements
-            assert tune_k(reqs, labels, index, sweep) == per_k_tune_k(reqs, labels, index, sweep)
+        # trained on the index's own requirements
+        assert tune_k(reqs, labels, index) == per_k_tune_k(reqs, labels, index)

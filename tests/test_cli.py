@@ -564,6 +564,15 @@ class TestRemoteProvider:
                if line]
         assert got == want
 
+    def test_all_zero_embedding_is_usage_error(self, mock_server, tmp_path, capsys):
+        archive = tmp_path / "arch.jsonl"
+        archive.write_text(json.dumps({**ARCHIVE_LINE, "programs": [
+            {"source": "ZEROVEC = 1", "temperature": 1.0}] * 2}) + "\n")
+        code = main(["estimate", "--archive", str(archive), "--language", "python",
+                     "--provider", "remote", "--embed-endpoint", mock_server.endpoint,
+                     "--embed-model", "cli-all-zero", "--out", str(tmp_path / "report.jsonl")])
+        assert_usage_error(code, capsys.readouterr().err)
+
     def test_remote_without_embed_model_is_usage_error(self, mock_server, tmp_path,
                                                        capsys):
         _, arch_path = build_fixture(tmp_path)
@@ -621,7 +630,7 @@ class TestRemoteProvider:
         train = [s for s in benchmark if s.split == "train"]
         reqs, labels = [s.requirement for s in train], [s.labels[MODEL] for s in train]
         index = baselines.Bm25Index.build(reqs, labels)
-        k = per_k_tune_k(reqs, labels, index, baselines.K_SWEEP)
+        k = per_k_tune_k(reqs, labels, index)
         scored = [evaluation.ScoredSample(
             id=s.id, label=s.labels[MODEL], score=per_call_knn(s.requirement, index, k))
             for s in benchmark if s.split == "test"]
@@ -643,10 +652,11 @@ class TestRemoteProvider:
     ("sample", ["--n", "0"]),
     ("sample", ["--temperature", "3"]),
     ("sample", ["--parallelism", "0"]),
+    ("sample", ["--max-tokens", "0"]),
     ("estimate", ["--dimension", "32"]),
     ("eval", ["--method", "knn-bm25", "--k", "-1"]),
     ("eval", ["--method", "knn-bm25", "--k", "0"]),
-], ids=["n", "temperature", "parallelism", "dimension", "k", "k-zero"])
+], ids=["n", "temperature", "parallelism", "max-tokens", "dimension", "k", "k-zero"])
 def test_out_of_range_flag_is_usage_error(command, flags, tmp_path, capsys):
     bench_path, arch_path = build_fixture(tmp_path)
     required = {
@@ -713,6 +723,9 @@ ARCHIVE_LINE = {"id": "s0", "model": MODEL,
     ("estimate", "--weights", '{"beta": 0.5, "gamma": 0.25, "delta": 0.25}', ".json"),
     ("estimate", "--weights",
      '{"alpha": 0.5, "beta": 0.5, "gamma": 0.5, "delta": 0.5}', ".json"),
+    # true and false would pass the range and sum checks as 1 and 0
+    ("estimate", "--weights",
+     '{"alpha": true, "beta": 0, "gamma": 0, "delta": false}', ".json"),
     ("eval", "--benchmark", json.dumps({
         "id": "s4", "language": "python", "requirement": "sort", "labels": [MODEL],
         "split": "test"}), ".jsonl"),
@@ -735,7 +748,8 @@ ARCHIVE_LINE = {"id": "s0", "model": MODEL,
       for value in ("NaN", "Infinity", "-Infinity", "1e400", "true", "1.5", "-0.1")],
 ], ids=["missing-archive", "missing-report", "missing-requirement-file",
         "report-not-json", "report-without-id", "weights-without-alpha",
-        "weights-not-summing-to-1", "benchmark-labels-list", "program-item-string",
+        "weights-not-summing-to-1", "weights-booleans",
+        "benchmark-labels-list", "program-item-string",
         "numeric-source", "truncated-gzip", "undecodable-benchmark",
         "config-line-without-equals", "archive-without-an-evaluated-id",
         "tune-without-archived-train-samples", "confidence-nan", "confidence-infinity",
