@@ -2,19 +2,21 @@
 candidate programs, code-fence extraction, and yes/no self-ask probes."""
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Any, Callable, Optional, TypeVar
-
-import requests
 
 from .errors import (
     EmptyCompletion,
@@ -55,6 +57,14 @@ REQUIREMENT_JUDGE_PROMPT = (
 )
 
 
+def _check_endpoint(endpoint: str) -> None:
+    """Raise ValueError unless *endpoint* is an http(s) URL with a host:
+    ``urlopen`` would also open ``file:`` and ``ftp:`` URLs."""
+    parts = urllib.parse.urlsplit(endpoint)
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint must be an http(s) URL with a host, got {endpoint!r}")
+
+
 class SeedMode(Enum):
     INDEPENDENT = "independent"
     FIXED_SCHEDULE = "fixed-schedule"
@@ -75,6 +85,7 @@ class SamplingConfig:
     audit_log: Optional[str] = None  # JSON Lines of raw request/response pairs
 
     def __post_init__(self):
+        _check_endpoint(self.endpoint)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0.0 <= self.temperature <= 2.0:
@@ -125,19 +136,24 @@ def _post_json(url: str, body: dict, read: Callable[[Any], T],
     that *read* cannot read each count as a failed attempt; after the last
     one, raises *error*.
     """
-    headers = {}
+    headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
+    request = urllib.request.Request(
+        url, data=json.dumps(body, allow_nan=False).encode(), headers=headers)
     last_error = ""
     for attempt in range(retries + 1):
         if attempt:
             time.sleep(backoff * 2 ** (attempt - 1))
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=timeout)
-            resp.raise_for_status()
-            return read(resp.json())
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                reply = json.loads(resp.read())
+            return read(reply)
+        except urllib.error.HTTPError as exc:  # a 4xx or 5xx status
+            exc.close()
+            last_error = str(exc)
+        except (OSError, http.client.HTTPException) as exc:
             last_error = str(exc)
         except _MALFORMED_REPLY as exc:
             last_error = f"malformed reply ({type(exc).__name__}: {exc})"

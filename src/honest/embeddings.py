@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Optional, Sequence
 
-from .client import _post_json
+from .client import _check_endpoint, _post_json
 from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
@@ -71,6 +71,7 @@ class EmbeddingProviderConfig:
         if self.kind is ProviderKind.REMOTE:
             if not self.endpoint or not self.model_name:
                 raise ValueError("remote provider requires endpoint and model_name")
+            _check_endpoint(self.endpoint)
         elif self.dimension < 64:
             raise ValueError("local-hashed provider requires dimension >= 64")
 

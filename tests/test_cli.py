@@ -648,6 +648,10 @@ class TestRemoteProvider:
         assert mock_server.embedding_requests == before
 
 
+# Endpoints that are not http(s) URLs with a host, by what is wrong with them.
+BAD_ENDPOINTS = {"127.0.0.1:9/v1": "no-scheme", "ftp://x/v1": "ftp", "http:///v1": "no-host"}
+
+
 @pytest.mark.parametrize("command, flags", [
     ("sample", ["--n", "0"]),
     ("sample", ["--temperature", "3"]),
@@ -656,11 +660,17 @@ class TestRemoteProvider:
     ("estimate", ["--dimension", "32"]),
     ("eval", ["--method", "knn-bm25", "--k", "-1"]),
     ("eval", ["--method", "knn-bm25", "--k", "0"]),
-], ids=["n", "temperature", "parallelism", "max-tokens", "dimension", "k", "k-zero"])
+    *(("sample", ["--endpoint", url]) for url in BAD_ENDPOINTS),
+    *(("estimate", ["--provider", "remote", "--embed-endpoint", url, "--embed-model", "m"])
+      for url in BAD_ENDPOINTS),
+], ids=["n", "temperature", "parallelism", "max-tokens", "dimension", "k", "k-zero",
+        *(f"endpoint-{case}" for case in BAD_ENDPOINTS.values()),
+        *(f"embed-endpoint-{case}" for case in BAD_ENDPOINTS.values())])
 def test_out_of_range_flag_is_usage_error(command, flags, tmp_path, capsys):
     bench_path, arch_path = build_fixture(tmp_path)
     required = {
-        # the endpoint is never contacted: the flag is rejected first
+        # the endpoint is never contacted: the flag is rejected first; a later
+        # --endpoint flag replaces this one
         "sample": ["--requirement", "x", "--endpoint", "http://127.0.0.1:9/v1",
                    "--model", MODEL, "--out", str(tmp_path / "out.jsonl")],
         "estimate": ["--archive", str(arch_path), "--language", "python",

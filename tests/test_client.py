@@ -15,6 +15,9 @@ from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text
 from honest.errors import EmptyCompletion, EndpointError, LogprobsUnavailable, TooFewUsable
 from honest.model import Language
 
+# the local discard port: a config check that lets a request through fails it
+ENDPOINT = "http://127.0.0.1:9/v1"
+
 
 def config(server, **overrides):
     base = dict(endpoint=server.endpoint, model="mock", n=5, parallelism=4,
@@ -52,16 +55,16 @@ class TestExtractCodeBlock:
 class TestSamplingConfig:
     def test_temperature_range(self):
         with pytest.raises(ValueError):
-            SamplingConfig(endpoint="e", model="m", temperature=2.5)
+            SamplingConfig(endpoint=ENDPOINT, model="m", temperature=2.5)
 
     def test_fixed_schedule_temperatures(self):
-        c = SamplingConfig(endpoint="e", model="m", n=20,
+        c = SamplingConfig(endpoint=ENDPOINT, model="m", n=20,
                            seed_mode=SeedMode.FIXED_SCHEDULE)
         assert c.temperatures() == [0.0, 0.2, 0.6, 0.8, 1.0]
         assert FIXED_TEMPERATURES == (0.0, 0.2, 0.6, 0.8, 1.0)
 
     def test_independent_temperatures(self):
-        c = SamplingConfig(endpoint="e", model="m", n=3, temperature=0.7)
+        c = SamplingConfig(endpoint=ENDPOINT, model="m", n=3, temperature=0.7)
         assert c.temperatures() == [0.7, 0.7, 0.7]
 
 

@@ -1,8 +1,10 @@
 import hashlib
+import json
 import math
+import urllib.error
+import urllib.request
 
 import pytest
-import requests
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -201,11 +203,18 @@ class TestRemote:
 
     def test_mock_server_rejects_more_inputs_than_its_cap(self, mock_server):
         def post(count):
-            return requests.post(mock_server.endpoint + "/embeddings", timeout=10,
-                                 json={"model": "m", "input": ["x"] * count})
+            request = urllib.request.Request(
+                mock_server.endpoint + "/embeddings",
+                data=json.dumps({"model": "m", "input": ["x"] * count}).encode(),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=10) as resp:
+                return json.loads(resp.read())
 
-        assert len(post(EMBEDDING_INPUT_CAP).json()["data"]) == EMBEDDING_INPUT_CAP
-        assert post(EMBEDDING_INPUT_CAP + 1).status_code == 400
+        assert len(post(EMBEDDING_INPUT_CAP)["data"]) == EMBEDDING_INPUT_CAP
+        with pytest.raises(urllib.error.HTTPError) as rejected:
+            post(EMBEDDING_INPUT_CAP + 1)
+        rejected.value.close()
+        assert rejected.value.code == 400
 
     def test_texts_past_the_cap_go_out_in_several_requests(self, mock_server):
         def remote(model):

@@ -244,17 +244,26 @@ def test_no_global_statement():
     assert not statements, f"global or nonlocal statements: {', '.join(statements)}"
 
 
+def _dotted(node):
+    """``"a.b.c"`` for the expression ``a.b.c``; None for anything else."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(attrs)]) if isinstance(node, ast.Name) else None
+
+
 def _module_calls(tree, module):
-    """``(function, name)`` for each ``module.name(...)`` call, with the
-    innermost function that makes it (None at module level), and
-    ``(None, name)`` for each name imported ``from module``."""
+    """``(function, name)`` for each ``module.name(...)`` call, *module*
+    dotted or not, with the innermost function that makes it (None at module
+    level), and ``(None, name)`` for each name imported ``from module``."""
     owner = {}
     for fn in ast.walk(tree):  # outer functions first, so inner ones win
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update(dict.fromkeys(ast.walk(fn), fn.name))
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == module):
+                and _dotted(node.func.value) == module):
             yield owner.get(node), node.func.attr
         elif isinstance(node, ast.ImportFrom) and node.module == module:
             yield from ((None, alias.name) for alias in node.names)
@@ -266,9 +275,15 @@ def _calls_by_module(module):
     return {name: calls for name, calls in sites.items() if calls}
 
 
-def test_only_post_json_calls_requests():
-    """One HTTP retry helper: ``client._post_json`` makes every request."""
-    assert _calls_by_module("requests") == {"client.py": {("_post_json", "post")}}
+def test_only_post_json_calls_urlopen():
+    """One HTTP retry helper: ``client._post_json`` makes every request, with
+    the stdlib's ``urlopen``, and no module imports ``requests``."""
+    opening = {(name, function) for name, calls in _calls_by_module("urllib.request").items()
+               for function, called in calls if called == "urlopen"}
+    assert opening == {("client.py", "_post_json")}
+    importing = [p.name for p in sorted(SRC.glob("*.py"))
+                 if "requests" in _top_level_imports(ast.parse(p.read_text(), filename=str(p)))]
+    assert not importing, f"modules that import requests: {importing}"
 
 
 def test_only_analysis_parses_python():

@@ -1,12 +1,13 @@
 """Every reply body from the chat or embeddings endpoint ends in a value or a
 typed HonestError: a body of the wrong shape counts as a failed attempt, is
 retried, and ends in the endpoint's typed error."""
+import io
 import itertools
 import json
+import urllib.request
 from unittest import mock
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,32 +16,21 @@ from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text,
 from honest.errors import EndpointError, HonestError, ProviderUnavailable
 from honest.model import Language
 
-# requests.post is replaced in every test; the local discard port keeps even
-# an unpatched request on this machine.
+# urllib.request.urlopen is replaced in every test; the local discard port
+# keeps even an unpatched request on this machine.
 ENDPOINT = "http://127.0.0.1:9/v1"
 
 # A fresh embedding model per call, so the remote cache never answers.
 _models = (f"embed-{i}" for i in itertools.count())
 
 
-class _Reply:
-    def __init__(self, body):
-        self._body = body
-
-    def raise_for_status(self):
-        pass
-
-    def json(self):
-        return self._body
-
-
 def replying(*bodies):
-    """Patch requests.post to answer with *bodies* in turn (the last one
-    repeats); the patched mock counts the attempts."""
-    replies = [_Reply(b) for b in bodies]
+    """Patch urllib.request.urlopen to answer with *bodies*, sent as JSON, in
+    turn (the last one repeats); the patched mock counts the attempts."""
+    sent = [json.dumps(b).encode() for b in bodies]
     return mock.patch.object(
-        requests, "post",
-        side_effect=lambda *a, **kw: replies.pop(0) if len(replies) > 1 else replies[0])
+        urllib.request, "urlopen",
+        side_effect=lambda *a, **kw: io.BytesIO(sent.pop(0) if len(sent) > 1 else sent[0]))
 
 
 def sample(retries, n=1):
