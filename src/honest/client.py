@@ -58,10 +58,12 @@ REQUIREMENT_JUDGE_PROMPT = (
 
 
 def _check_endpoint(endpoint: str) -> None:
-    """Raise ValueError unless *endpoint* is an http(s) URL with a host:
-    ``urlopen`` would also open ``file:`` and ``ftp:`` URLs."""
+    """Raise ValueError unless *endpoint* is an http(s) URL with a host and
+    a usable port, if it names one: ``urlopen`` would also open ``file:``
+    and ``ftp:`` URLs."""
     parts = urllib.parse.urlsplit(endpoint)
-    if parts.scheme not in ("http", "https") or not parts.hostname:
+    # reading .port raises ValueError on a port that is not a number up to 65535
+    if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
         raise ValueError(f"endpoint must be an http(s) URL with a host, got {endpoint!r}")
 
 
@@ -120,9 +122,9 @@ def extract_code_block(response: str) -> str:
     return response.strip()
 
 
-# What reading a JSON reply of the wrong shape raises: a missing key or index,
-# a value of the wrong type (or without the method read calls on it), or a
-# number out of range.
+# What reading a reply that is not JSON (ValueError), or JSON of the wrong
+# shape, raises: a missing key or index, a value of the wrong type (or without
+# the method read calls on it), or a number out of range.
 _MALFORMED_REPLY = (LookupError, TypeError, AttributeError, ValueError, OverflowError)
 
 
@@ -148,8 +150,7 @@ def _post_json(url: str, body: dict, read: Callable[[Any], T],
             time.sleep(backoff * 2 ** (attempt - 1))
         try:
             with urllib.request.urlopen(request, timeout=timeout) as resp:
-                reply = json.loads(resp.read())
-            return read(reply)
+                return read(json.load(resp))
         except urllib.error.HTTPError as exc:  # a 4xx or 5xx status
             exc.close()
             last_error = str(exc)

@@ -649,7 +649,8 @@ class TestRemoteProvider:
 
 
 # Endpoints that are not http(s) URLs with a host, by what is wrong with them.
-BAD_ENDPOINTS = {"127.0.0.1:9/v1": "no-scheme", "ftp://x/v1": "ftp", "http:///v1": "no-host"}
+BAD_ENDPOINTS = {"127.0.0.1:9/v1": "no-scheme", "ftp://x/v1": "ftp", "http:///v1": "no-host",
+                 "http://x:abc/v1": "bad-port"}
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -15,7 +15,7 @@ from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text
 from honest.errors import EmptyCompletion, EndpointError, LogprobsUnavailable, TooFewUsable
 from honest.model import Language
 
-# the local discard port: a config check that lets a request through fails it
+# A well-formed endpoint for configs that send nothing (port 9 is discard).
 ENDPOINT = "http://127.0.0.1:9/v1"
 
 
