@@ -6,9 +6,9 @@ through a lightweight structural parser over the Pygments token stream: brace
 blocks, semicolon statements, and parenthesized groups become internal nodes,
 keywords and literals become leaf kinds. Both languages come out as the same
 ``Walk``, the (kind, child count) of each node in pre-order: Python's straight
-from its ``ast`` walk, Java's flattened from its ``CstNode`` tree. Subtree
-fingerprints, and the ``CstNode`` tree ``parse_cst`` returns, are both read off
-that walk, so downstream similarity code is language-agnostic.
+from its ``ast`` walk, Java's as its parser emits it. Subtree fingerprints, and
+the ``CstNode`` tree ``parse_cst`` returns, are both read off that walk, so
+downstream similarity code is language-agnostic; no analysis builds a tree.
 """
 from __future__ import annotations
 
@@ -278,8 +278,7 @@ def _java_tokens(lexed: Lexed) -> list[tuple[str, str]]:
     return out
 
 
-def _head_kind(head: list[CstNode], in_type_body: bool) -> str:
-    kinds = [n.kind for n in head]
+def _head_kind(kinds: list[str], in_type_body: bool) -> str:
     for kw, kind in _JAVA_DECL_KINDS.items():
         if "kw_" + kw in kinds:
             return kind
@@ -292,70 +291,77 @@ def _head_kind(head: list[CstNode], in_type_body: bool) -> str:
 
 
 class _JavaGroup:
-    """One open bracket of the Java parser: the sibling nodes parsed so far
-    and the tokens of the statement being accumulated."""
+    """One open bracket of the Java parser: its child count so far, and the node
+    kinds of the statement being accumulated, whose subtrees start at ``start``."""
 
-    __slots__ = ("closer", "in_type_body", "construct_kind", "nodes", "head")
+    __slots__ = ("closer", "in_type_body", "construct_kind", "count", "head", "start")
 
-    def __init__(self, closer: str | None, in_type_body: bool,
+    def __init__(self, closer: str | None, in_type_body: bool, start: int,
                  construct_kind: str | None = None):
         self.closer = closer
         self.in_type_body = in_type_body
         self.construct_kind = construct_kind  # None for "(" and the top level
-        self.nodes: list[CstNode] = []
-        self.head: list[CstNode] = []
+        self.count, self.start = 0, start  # start: an index in the parser's output
+        self.head: list[str] = []
 
-    def flush(self):
+    def add(self, post: Walk, kind: str, count: int = 0):
+        """Append a child, after its ``count`` children, ending the statement."""
+        post.append((kind, count))
+        self.count += 1
+        self.head = []
+        self.start = len(post)
+
+    def flush(self, post: Walk):
         if self.head:
-            self.nodes.append(CstNode("statement", tuple(self.head)))
-            self.head = []
+            self.add(post, "statement", len(self.head))
 
 
-def _close_java_group(stack: list[_JavaGroup]):
+def _close_java_group(stack: list[_JavaGroup], post: Walk):
     """Pop the innermost group and attach it to its parent. A statement still
     pending in the popped group is dropped."""
     group = stack.pop()
     parent = stack[-1]
+    del post[group.start:]
     if group.construct_kind is None:
-        parent.head.append(CstNode("paren_group", tuple(group.nodes)))
+        post.append(("paren_group", group.count))
+        parent.head.append("paren_group")
     else:
-        parent.nodes.append(CstNode(group.construct_kind, tuple(parent.head)
-                                    + (CstNode("block", tuple(group.nodes)),)))
-        parent.head = []
+        post.append(("block", group.count))
+        parent.add(post, group.construct_kind, len(parent.head) + 1)
 
 
 _JAVA_DECL_KIND_VALUES = frozenset(_JAVA_DECL_KINDS.values())
 
 
-def _parse_java(tokens: list[tuple[str, str]]) -> CstNode:
-    """Brace blocks, parenthesized groups and semicolon statements over the
-    token stream. An explicit stack of open groups, so nesting depth is
-    bounded by memory, not by the interpreter's recursion limit. Groups still
-    open at the end of input are closed with a trailing ERROR node."""
-    stack = [_JavaGroup(None, True)]
+def _parse_java(tokens: list[tuple[str, str]]) -> Walk:
+    """The walk of brace blocks, parenthesized groups and semicolon statements
+    over the token stream: built in post-order, each node after its children, as
+    the tokens arrive, then reversed. An explicit stack of open groups, so nesting
+    depth is bounded by memory, not by the interpreter's recursion limit. Groups
+    still open at the end of input are closed with a trailing ERROR node."""
+    post: Walk = []
+    stack = [_JavaGroup(None, True, 0)]
     for kind, text in tokens:
         group = stack[-1]
         if text == group.closer:
-            _close_java_group(stack)
+            _close_java_group(stack, post)
         elif text == "{":
             construct_kind = _head_kind(group.head, group.in_type_body)
             stack.append(_JavaGroup("}", construct_kind in _JAVA_DECL_KIND_VALUES,
-                                    construct_kind))
+                                    len(post), construct_kind))
         elif text == "(":
-            stack.append(_JavaGroup(")", False))
-        elif text in ")}":
-            # unbalanced closer: keep going, record the damage
-            group.head.append(CstNode("ERROR"))
+            stack.append(_JavaGroup(")", False, len(post)))
         elif text == ";":
-            group.flush()
-        else:
-            group.head.append(CstNode(kind))
+            group.flush(post)
+        else:  # a leaf; an unbalanced closer is an ERROR leaf, recording the damage
+            post.append(("ERROR" if text in ")}" else kind, 0))
+            group.head.append(post[-1][0])
     while len(stack) > 1:
-        stack[-1].flush()
-        stack[-1].nodes.append(CstNode("ERROR"))
-        _close_java_group(stack)
-    stack[0].flush()
-    return CstNode("compilation_unit", tuple(stack[0].nodes))
+        stack[-1].flush(post)
+        stack[-1].add(post, "ERROR")
+        _close_java_group(stack, post)
+    stack[0].flush(post)
+    return [("compilation_unit", stack[0].count), *reversed(post)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +417,7 @@ def _fingerprints(walk: Walk, height: int = DEFAULT_SUBTREE_HEIGHT) -> Bag:
 def extract_subtrees(tree: CstNode, height: int = DEFAULT_SUBTREE_HEIGHT) -> Bag:
     """One fingerprint per internal node: its kind plus descendant kinds down
     to the given height, serialized canonically. Position-independent. Read
-    off the tree's walk, as a Python analysis reads them off its ``ast`` walk."""
+    off the tree's walk, as an analysis reads them off the walk its parser emits."""
     return _fingerprints(_flatten(tree), height)
 
 
@@ -465,10 +471,10 @@ def extract_dataflow(program: Program) -> Bag:
 def _walk_and_dataflow(program: Program, lexed: Lexed | None = None) -> tuple[Walk, Bag]:
     """The walk of ``parse_cst(program)`` and ``extract_dataflow(program)``, from
     one parse: Python's source (with its error recovery), or Java's ``lexed``
-    (``lex(program)`` if None). Python builds no ``CstNode``."""
+    (``lex(program)`` if None). Neither language builds a ``CstNode``."""
     if program.language is Language.PYTHON:
         walk, edges = _convert_py(*_parse_python_ast(program.source))
     else:
         tokens = _java_tokens(lex(program) if lexed is None else lexed)
-        walk, edges = _flatten(_parse_java(tokens)), _java_dataflow(tokens)
+        walk, edges = _parse_java(tokens), _java_dataflow(tokens)
     return walk, Bag(edges)

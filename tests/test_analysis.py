@@ -462,7 +462,7 @@ def seed_parse_java_group(tokens, pos, closer, in_type_body):
         if closer is not None and text == closer:
             return nodes, pos + 1
         if text == "{":
-            construct_kind = _head_kind(head, in_type_body)
+            construct_kind = _head_kind([n.kind for n in head], in_type_body)
             body_is_type = construct_kind in set(_JAVA_DECL_KINDS.values())
             children, pos = seed_parse_java_group(tokens, pos + 1, "}", body_is_type)
             nodes.append(CstNode(construct_kind,
@@ -510,6 +510,9 @@ class TestJavaParserIterative:
                                        "", ")}", "class A { void f() {"]
         sources += [" ".join(rng.choices(pieces, k=rng.randint(0, 60)))
                     for _ in range(400)]
+        # nested_java(3000) is too deep for the recursive parser; the deep
+        # nesting tests below cover it
+        sources += [s for s in bench_java_sources() if "(" * 1000 not in s]
         for source in sources:
             assert parse_cst(java(source)) == seed_parse_java(source), source
 
@@ -638,6 +641,18 @@ def bench_gen():
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen
+
+
+def bench_java_sources():
+    """The benchmark's agreement, diverse and hostile Java sets, seeds 0-2."""
+    gen = bench_gen()
+    sources = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        sources += gen.agreement_set(rng, 50, gen.java_program)
+        sources += gen.diverse_set(rng, 50, gen.java_program)
+        sources += gen.hostile_java_set(rng, 20)
+    return list(dict.fromkeys(sources))
 
 
 def bench_python_sources():
@@ -811,8 +826,9 @@ cst_trees = st.recursive(
 
 
 class TestSharedWalk:
-    """Python's subtree bags come straight from its ``ast`` walk; every other
-    bag from a ``CstNode`` tree's walk, through the same fingerprint routine."""
+    """An analysis reads its subtree bag straight off the walk its parser
+    emits, and ``extract_subtrees`` off a ``CstNode`` tree's walk, through the
+    same fingerprint routine."""
 
     @given(tree=cst_trees, height=st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
@@ -835,7 +851,7 @@ class TestSharedWalk:
         assert analysed.subtree_bag == extract_subtrees(parse_cst(program))
         assert analysed.dataflow == extract_dataflow(program)
 
-    def test_python_analysis_builds_no_tree(self, local_provider, monkeypatch):
+    def test_analysis_builds_no_tree(self, local_provider, monkeypatch):
         built = []
 
         def counted(*args):
@@ -844,8 +860,9 @@ class TestSharedWalk:
 
         monkeypatch.setattr(analysis, "CstNode", counted)
         damaged = bench_gen().long_python(random.Random(0), 60, 20)
-        for source in (*PYTHON_CORPUS, damaged, ""):
-            analyze_program(py(source), local_provider)
+        for program in (*(py(s) for s in (*PYTHON_CORPUS, damaged, "")),
+                        *(java(s) for s in (*JAVA_CORPUS, nested_java(10000), ""))):
+            analyze_program(program, local_provider)
         assert built == []
-        analyze_program(java(JAVA_CORPUS[0]), local_provider)  # the count sees Java's tree
+        parse_cst(java(JAVA_CORPUS[0]))  # the count sees a tree being built
         assert built

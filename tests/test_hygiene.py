@@ -253,14 +253,20 @@ def _dotted(node):
     return ".".join([node.id, *reversed(attrs)]) if isinstance(node, ast.Name) else None
 
 
-def _module_calls(tree, module):
-    """``(function, name)`` for each ``module.name(...)`` call, *module*
-    dotted or not, with the innermost function that makes it (None at module
-    level), and ``(None, name)`` for each name imported ``from module``."""
+def _owners(tree):
+    """The name of the innermost function holding each node inside one."""
     owner = {}
     for fn in ast.walk(tree):  # outer functions first, so inner ones win
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+    return owner
+
+
+def _module_calls(tree, module):
+    """``(function, name)`` for each ``module.name(...)`` call, *module*
+    dotted or not, with the innermost function that makes it (None at module
+    level), and ``(None, name)`` for each name imported ``from module``."""
+    owner = _owners(tree)
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and _dotted(node.func.value) == module):
@@ -284,6 +290,19 @@ def test_only_post_json_calls_urlopen():
     importing = [p.name for p in sorted(SRC.glob("*.py"))
                  if "requests" in _top_level_imports(ast.parse(p.read_text(), filename=str(p)))]
     assert not importing, f"modules that import requests: {importing}"
+
+
+def test_only_parse_cst_builds_a_tree():
+    """No analysis builds a ``CstNode`` tree: each reads the walk its parser
+    emits, and ``analysis.parse_cst`` alone builds the public tree from one."""
+    building = set()
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text(), filename=str(p))
+        owner = _owners(tree)
+        building |= {(p.name, owner.get(node)) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and (_dotted(node.func) or "").split(".")[-1] == "CstNode"}
+    assert building == {("analysis.py", "parse_cst")}
 
 
 def test_only_analysis_parses_python():
