@@ -122,10 +122,12 @@ def extract_code_block(response: str) -> str:
     return response.strip()
 
 
-# What reading a reply that is not JSON (ValueError), or JSON of the wrong
-# shape, raises: a missing key or index, a value of the wrong type (or without
-# the method read calls on it), or a number out of range.
-_MALFORMED_REPLY = (LookupError, TypeError, AttributeError, ValueError, OverflowError)
+# What reading a reply that is not JSON (ValueError), JSON nested too deep to
+# decode (RecursionError), or JSON of the wrong shape raises: a missing key or
+# index, a value of the wrong type (or without the method read calls on it), or
+# a number out of range.
+_MALFORMED_REPLY = (LookupError, TypeError, AttributeError, ValueError, OverflowError,
+                    RecursionError)
 
 
 def _post_json(url: str, body: dict, read: Callable[[Any], T],
@@ -181,7 +183,7 @@ def _chat(prompt: str, temperature: float, max_tokens: int,
     if config.audit_log:
         line = json.dumps({"request": payload, "response": data}, sort_keys=True)
         with _audit_lock:
-            with open(config.audit_log, "a") as fh:
+            with open(config.audit_log, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
     return value
 

@@ -25,9 +25,10 @@ _models = (f"embed-{i}" for i in itertools.count())
 
 
 def replying(*bodies):
-    """Patch urllib.request.urlopen to answer with *bodies*, sent as JSON, in
-    turn (the last one repeats); the patched mock counts the attempts."""
-    sent = [json.dumps(b).encode() for b in bodies]
+    """Patch urllib.request.urlopen to answer with *bodies*, sent as JSON (bytes
+    as they are), in turn (the last one repeats); the patched mock counts the
+    attempts."""
+    sent = [b if isinstance(b, bytes) else json.dumps(b).encode() for b in bodies]
     return mock.patch.object(
         urllib.request, "urlopen",
         side_effect=lambda *a, **kw: io.BytesIO(sent.pop(0) if len(sent) > 1 else sent[0]))
@@ -66,6 +67,10 @@ def embed(retries):
 
 def embed_pair(retries):
     return embed_all(["reverse a string", "sort a list"], retries)
+
+
+# JSON too deeply nested for json.load to decode
+DEEP = b"[" * 100000 + b"]" * 100000
 
 
 def vectors(*indices):
@@ -134,10 +139,12 @@ def test_any_embedding_reply_ends_in_value_or_honest_error(body):
 @pytest.mark.parametrize("call, body, error", [
     (sample, {}, EndpointError),
     (sample, [1], EndpointError),
+    (sample, DEEP, EndpointError),
     (ask, {}, EndpointError),
     (ask, yes_reply(0.5), EndpointError),
     (ask, yes_reply(float("nan")), EndpointError),
     (embed, {"data": [{"embedding": None}]}, ProviderUnavailable),
+    (embed, DEEP, ProviderUnavailable),
     # json reads NaN and Infinity as floats
     (embed, json.loads('{"data": [{"embedding": [NaN, 1.0]}]}'), ProviderUnavailable),
     (embed, json.loads('{"data": [{"embedding": [Infinity, 1.0]}]}'), ProviderUnavailable),
@@ -146,8 +153,8 @@ def test_any_embedding_reply_ends_in_value_or_honest_error(body):
     (embed_pair, vectors(0, 0), ProviderUnavailable),
     (embed_pair, {"data": [{"index": 1, "embedding": [2.0]}, {"embedding": [1.0]}]},
      ProviderUnavailable),
-], ids=["sample-empty-object", "sample-list", "ask-empty-object",
-        "ask-positive-logprob", "ask-nan-logprob", "embed-null-embedding",
+], ids=["sample-empty-object", "sample-list", "sample-deeply-nested", "ask-empty-object",
+        "ask-positive-logprob", "ask-nan-logprob", "embed-null-embedding", "embed-deeply-nested",
         "embed-nan-value", "embed-infinite-value", "embed-two-vectors-for-one-input",
         "embed-index-out-of-range", "embed-duplicate-index", "embed-missing-index"])
 def test_malformed_reply_is_retried_then_typed_error(call, body, error):
