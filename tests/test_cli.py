@@ -5,6 +5,9 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from corpus import PYTHON_CORPUS
@@ -169,6 +172,22 @@ class TestSampleCommand:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["endpoint"] == "http://from-env"
         assert resolved["model"] == "file-model"
+
+    def test_config_file_is_read_as_utf8(self, tmp_path):
+        """Read in the locale's encoding, the file would raise EncodingWarning,
+        which this interpreter turns into an error."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text("endpoint = http://127.0.0.1:9/v1\nmodel = modèle-ü\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "honest.cli", "sample", "--requirement", "x", "--config", str(cfg),
+             "--print-config", "--out", str(tmp_path / "a.jsonl")],
+            capture_output=True, encoding="utf-8", env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["model"] == "modèle-ü"
 
 
 class TestEstimateCommand:
