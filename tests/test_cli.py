@@ -174,8 +174,8 @@ class TestSampleCommand:
         assert resolved["model"] == "file-model"
 
     def test_config_file_is_read_as_utf8(self, tmp_path):
-        """Read in the locale's encoding, the file would raise EncodingWarning,
-        which this interpreter turns into an error."""
+        """The file is read as UTF-8: a read in the locale's encoding would warn
+        under -X warn_default_encoding, and the warning is an error here."""
         cfg = tmp_path / "cfg"
         cfg.write_text("endpoint = http://127.0.0.1:9/v1\nmodel = modèle-ü\n", encoding="utf-8")
         src = str(Path(__file__).resolve().parent.parent / "src")
