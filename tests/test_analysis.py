@@ -512,7 +512,7 @@ class TestJavaParserIterative:
                     for _ in range(400)]
         # nested_java(3000) is too deep for the recursive parser; the deep
         # nesting tests below cover it
-        sources += [s for s in bench_java_sources() if "(" * 1000 not in s]
+        sources += [s for s in bench_sources("java") if "(" * 1000 not in s]
         for source in sources:
             assert parse_cst(java(source)) == seed_parse_java(source), source
 
@@ -643,27 +643,17 @@ def bench_gen():
     return gen
 
 
-def bench_java_sources():
-    """The benchmark's agreement, diverse and hostile Java sets, seeds 0-2."""
+def bench_sources(language):
+    """The benchmark's agreement, diverse and hostile sets of *language*
+    ("python" or "java"), seeds 0-2."""
     gen = bench_gen()
+    make, hostile = getattr(gen, f"{language}_program"), getattr(gen, f"hostile_{language}_set")
     sources = []
     for seed in range(3):
         rng = random.Random(seed)
-        sources += gen.agreement_set(rng, 50, gen.java_program)
-        sources += gen.diverse_set(rng, 50, gen.java_program)
-        sources += gen.hostile_java_set(rng, 20)
-    return list(dict.fromkeys(sources))
-
-
-def bench_python_sources():
-    """The benchmark's agreement, diverse and hostile Python sets, seeds 0-2."""
-    gen = bench_gen()
-    sources = []
-    for seed in range(3):
-        rng = random.Random(seed)
-        sources += gen.agreement_set(rng, 50, gen.python_program)
-        sources += gen.diverse_set(rng, 50, gen.python_program)
-        sources += gen.hostile_python_set(rng, 20)
+        sources += gen.agreement_set(rng, 50, make)
+        sources += gen.diverse_set(rng, 50, make)
+        sources += hostile(rng, 20)
     return list(dict.fromkeys(sources))
 
 
@@ -694,7 +684,7 @@ class TestPythonConversionIterative:
         gen = bench_gen()
         long_programs = [gen.long_python(random.Random(s), 300, 85) for s in range(3)]
         sources = [*PYTHON_CORPUS, *(s for s, _ in PYTHON_DATAFLOW_ORACLE),
-                   *self.SHARED_OPERATORS, *bench_python_sources(), *long_programs]
+                   *self.SHARED_OPERATORS, *bench_sources("python"), *long_programs]
         for source in sources:
             assert _parse_python_ast(source)[1] == seed_parse_python_ast(source)[1], source
             assert parse_cst(py(source)) == seed_python_cst(source), source

@@ -5,7 +5,7 @@ from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pygments.token import Comment, String
-from test_analysis import bench_python_sources
+from test_analysis import bench_sources
 from test_confidence import program_text
 
 from honest.model import (
@@ -169,7 +169,7 @@ PIECES = ["def ", "class ", "from ", "import ", "yield", " from", "yield from ",
           "\0", "\u00e9"]
 
 
-# how many distinct ``bench_python_sources()`` programs ``_python_tokens`` hands back
+# how many distinct ``bench_sources("python")`` programs ``_python_tokens`` hands back
 BENCH_PROGRAMS_HANDED_BACK = 0
 
 
@@ -202,13 +202,13 @@ class TestPythonTokens:
             assert _python_tokens(source) == pygments_tokens(source), source
 
     def test_benchmark_programs(self):
-        for source in bench_python_sources():
+        for source in bench_sources("python"):
             assert _python_tokens(source) in (None, pygments_tokens(source)), source
 
     def test_benchmark_programs_handed_back(self):
         """The scan is the package's own, so every interpreter hands back the
         same benchmark programs."""
-        handed_back = [s for s in bench_python_sources() if _python_tokens(s) is None]
+        handed_back = [s for s in bench_sources("python") if _python_tokens(s) is None]
         assert len(handed_back) == BENCH_PROGRAMS_HANDED_BACK
 
     @given(source=st.one_of(st.lists(st.sampled_from(PIECES), max_size=30).map("".join),
