@@ -8,6 +8,7 @@ wherever that is proven to give the same tokens.
 from __future__ import annotations
 
 import re
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -108,10 +109,21 @@ class SampleSet:
         return len(self.programs)
 
 
-_LEXERS = {
-    Language.PYTHON: PythonLexer(stripnl=False),
-    Language.JAVA: JavaLexer(stripnl=False),
-}
+# Every Java analysis lexes, so its lexer is built at import (3-6 ms). Python's
+# serves only the programs ``_python_tokens`` hands back and compiles its rules
+# in 30-50 ms, so it is built on the first of them, under a lock: Pygments
+# compiles a class's rules on its first instance with no lock of its own, and
+# threads that race there can give two of its combined states one name.
+_JAVA_LEXER = JavaLexer(stripnl=False)
+_PYTHON_LEXER_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _python_lexer() -> PythonLexer:
+    with _PYTHON_LEXER_LOCK:
+        return PythonLexer(stripnl=False)
+
+
 Lexed = list[tuple[_TokenType, str]]  # a Pygments (token type, text) stream
 
 # The token classes the package tells apart, none inside another.
@@ -129,7 +141,8 @@ def token_class(tok: _TokenType) -> _TokenType | None:
 def lex(program: Program) -> Lexed:
     """The program's Pygments stream, comments and whitespace included: the one
     lexing pass that its tokens, Java parse and dataflow, and local embedding read."""
-    return list(_LEXERS[program.language].get_tokens(program.source))
+    lexer = _JAVA_LEXER if program.language is Language.JAVA else _python_lexer()
+    return list(lexer.get_tokens(program.source))
 
 
 def token_sequence(lexed: Lexed) -> TokenSequence:

@@ -11,10 +11,10 @@ import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from pygments.lexers import JavaLexer
+from pygments.lexers import JavaLexer, PythonLexer
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String
 
-from honest import confidence, model, similarity
+from honest import confidence, similarity
 from honest.analysis import _java_tokens, extract_dataflow, extract_subtrees, parse_cst
 from honest.confidence import (
     estimate_confidence,
@@ -265,14 +265,14 @@ class TestAnalyzeProgram:
         hands its tokens back. The lexer classes are patched, so a second
         lexer instance anywhere in the package would count too."""
         calls = []
-        for lexer in model._LEXERS.values():
-            real = type(lexer).get_tokens
+        for lexer in (PythonLexer, JavaLexer):
+            real = lexer.get_tokens
 
             def counted(self, text, *args, real=real):
                 calls.append(text)
                 return real(self, text, *args)
 
-            monkeypatch.setattr(type(lexer), "get_tokens", counted)
+            monkeypatch.setattr(lexer, "get_tokens", counted)
         for language, source, passes in (
                 (Language.PYTHON, PYTHON_CORPUS[4], 0),  # the stdlib tokenizer answers
                 (Language.PYTHON, 'def f(x):\n    return f"{x}"\n', 1),  # handed back

@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
@@ -272,3 +277,98 @@ class TestTypes:
         assert a.ngrams[0]  # computed and cached on a only
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
+
+
+# Runs in a fresh interpreter. Counts the PythonLexer instances built and the
+# times Pygments compiles the class's rules: after the package's import, then
+# after each command of the JSON list in argv[1], a CLI command line or
+# ["lex-in-threads", source] (eight threads lexing one Python program at once).
+_COLD_START = """
+import json, sys, threading
+from pygments.lexer import RegexLexerMeta
+from pygments.lexers import PythonLexer
+
+built, compiled = [], []
+real_init, real_compile = PythonLexer.__init__, RegexLexerMeta.process_tokendef
+
+def counted_init(self, *args, **kwargs):
+    built.append(1)
+    real_init(self, *args, **kwargs)
+
+def counted_compile(cls, name, tokendefs=None):
+    if cls is PythonLexer:
+        compiled.append(1)
+    return real_compile(cls, name, tokendefs)
+
+PythonLexer.__init__ = counted_init
+RegexLexerMeta.process_tokendef = counted_compile
+
+import honest, honest.cli
+from honest.model import Language, Program, lex
+
+rows = [["import", None, len(built), len(compiled)]]
+for command in json.loads(sys.argv[1]):
+    code = None
+    if command[0] == "lex-in-threads":
+        program = Program(command[1], Language.PYTHON)
+        threads = [threading.Thread(target=lex, args=(program,)) for _ in range(8)]
+        sys.setswitchinterval(1e-6)
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    else:
+        code = honest.cli.main(command)
+    rows.append([command[0], code, len(built), len(compiled)])
+print(json.dumps(rows))
+"""
+# a program ``_python_tokens`` hands back to Pygments (an f-string)
+_HANDED_BACK = 'def f(x):\n    return f"{x}"\n'
+
+
+def _cold_start(commands):
+    """(command, exit code, PythonLexer instances, rule compilations) after
+    the import and after each command."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands)],
+                            capture_output=True, encoding="utf-8", env=env, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return [tuple(row) for row in json.loads(result.stdout.splitlines()[-1])]
+
+
+class TestColdStart:
+    """Python's lexer is built on the first program the scan hands back, not at
+    import. Each check starts a fresh interpreter: this session has built every
+    lexer already, which would hide a fault on first use."""
+
+    def _archive(self, path, sources):
+        path.write_text(json.dumps({"id": "r0", "model": "m", "programs": [
+            {"source": source, "temperature": 1.0} for source in sources]}) + "\n")
+        return str(path)
+
+    def test_lexer_is_built_on_the_first_program_handed_back(self, tmp_path):
+        sources = PYTHON_CORPUS[:3]
+        assert all(_python_tokens(s) is not None for s in sources)
+        assert _python_tokens(_HANDED_BACK) is None
+        scanned = self._archive(tmp_path / "scanned.jsonl", sources)
+        handed_back = self._archive(tmp_path / "handed-back.jsonl", [_HANDED_BACK] * 2)
+        report = str(tmp_path / "report.jsonl")
+        assert _cold_start([
+            ["estimate", "--archive", scanned, "--language", "python", "--out", report],
+            ["gate", "--report", report, "--archive", scanned, "--id", "r0",
+             "--language", "python", "--threshold", "0.5"],
+            ["estimate", "--archive", handed_back, "--language", "python",
+             "--out", str(tmp_path / "handed-back-report.jsonl")],
+        ]) == [("import", None, 0, 0), ("estimate", 0, 0, 0), ("gate", 0, 0, 0),
+               ("estimate", 0, 1, 1)]
+
+    def test_threads_compile_the_rules_once(self):
+        """Threads that lex their first handed-back program at once compile
+        PythonLexer's rules once between them."""
+        (_, _, _, at_import), (_, _, built, compiled) = _cold_start(
+            [["lex-in-threads", _HANDED_BACK]])
+        assert (at_import, compiled) == (0, 1)
+        assert 1 <= built <= 8
