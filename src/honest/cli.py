@@ -40,7 +40,7 @@ def _load_config_file(path: Optional[str]) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
+    for raw in Path(path).read_text(encoding="utf-8-sig").split("\n"):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -133,7 +133,7 @@ def cmd_sample(args) -> int:
         targets = [(s.id, s.requirement, s.language) for s in samples]
     else:
         if args.requirement_file:
-            requirement = Path(args.requirement_file).read_text(encoding="utf-8")
+            requirement = Path(args.requirement_file).read_text(encoding="utf-8-sig")
         elif args.requirement:
             requirement = args.requirement
         else:

@@ -10,10 +10,11 @@ serve both of its orders.
 
 The confidence stage reads a set's overlaps off level masks instead:
 ``level_masks`` interns the keys of one of the six multisets once across
-the set and turns each program's multiset into one int, and
-``masked_overlap`` of two of them is the popcount of their AND, an integer
-equal to ``_overlap``'s. The walks of ``_overlap`` stay as the reference
-form of the ``sim_*`` functions.
+the set and turns each program's multiset into one int of a byte per key,
+holding counts up to 8, and a dict of what its counts hold beyond 8.
+``masked_overlap`` of two of them is the popcount of their AND plus the
+overlap of their dicts, an integer equal to ``_overlap``'s. The walks of
+``_overlap`` stay as the reference form of the ``sim_*`` functions.
 """
 from __future__ import annotations
 
@@ -85,23 +86,17 @@ def text_overlaps(seq_i: TokenSequence, seq_j: TokenSequence) -> tuple[int, ...]
     return tuple(map(_overlap, seq_i.ngrams, seq_j.ngrams))
 
 
-# One byte translation table per plane p of eight levels: the byte of a key
-# held c times has bit u set when c > 8p + u.
-_PLANES = [bytes(8 * p + 1) + b"\x01\x03\x07\x0f\x1f\x3f\x7f" + b"\xff" * (248 - 8 * p)
-           for p in range(32)]
-
 LevelMask = tuple[int, Optional[dict]]
 
 
 def level_masks(multisets: Sequence[Counter]) -> list[LevelMask]:
     """The level masks of a set's multisets, over the set's keys interned once.
 
-    Each key gets a dense id i in order of first appearance. With K keys in
-    the set, bit 8(K*p + i) + u of a multiset's int is set when the multiset
-    holds key i more than t = 8p + u times: level t of key i. Eight levels of
-    a key share a byte, and plane p's bytes are one ``bytes.translate`` of the
-    multiset's count bytes. Counts above 255 fill every plane, and the rest
-    of each (count - 255) is kept in a dict, None when there is none.
+    Each key gets a dense id i in order of first appearance, and each
+    multiset one byte per key of the set: bit 8i + u of its int is set when
+    it holds key i more than u times, for levels u of 0-7. The rest of each
+    count above 8, count - 8, is kept in a dict, None when there is none. So
+    with K keys in the set, each int holds at most K bytes.
     """
     ids: dict = {}
     setdefault = ids.setdefault
@@ -109,22 +104,18 @@ def level_masks(multisets: Sequence[Counter]) -> list[LevelMask]:
     masks = []
     for counts, idx in zip(multisets, keyed):
         held = bytearray(len(ids))
-        top = max(counts.values(), default=0)
-        excess = None
-        if top > 255:
-            excess = {key: count - 255 for key, count in counts.items() if count > 255}
-            top = 255
         for i, count in zip(idx, counts.values()):
-            held[i] = count if count < 255 else 255
-        planes = b"".join([held.translate(_PLANES[p]) for p in range((top + 7) // 8)])
-        masks.append((int.from_bytes(planes, "little"), excess))
+            held[i] = (1 << count) - 1 if count < 8 else 255
+        excess = {key: count - 8 for key, count in counts.items() if count > 8}
+        masks.append((int.from_bytes(held, "little"), excess or None))
     return masks
 
 
 def masked_overlap(mask_i: LevelMask, mask_j: LevelMask) -> int:
     """``_overlap`` of two multisets from their ``level_masks`` of one set:
     levels nest, so the set bits both masks share count min(count_i, count_j)
-    of each key up to 255, and the excess dicts add the rest."""
+    of each key up to 8, and the excess dicts add the rest, as
+    min(a, b) = min(min(a, 8), min(b, 8)) + min(max(a - 8, 0), max(b - 8, 0))."""
     (bits_i, excess_i), (bits_j, excess_j) = mask_i, mask_j
     total = (bits_i & bits_j).bit_count()
     if excess_i and excess_j:

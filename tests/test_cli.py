@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_baselines import per_call_knn, per_k_tune_k
 from test_replies import obj
 
-from honest import baselines, evaluation
+from honest import baselines, client, evaluation
 from honest.cli import main
 from honest.confidence import estimate_confidence
 from honest.dataset import (
@@ -188,6 +188,26 @@ class TestSampleCommand:
             capture_output=True, encoding="utf-8", env=env, timeout=60)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["model"] == "modèle-ü"
+
+    def test_byte_order_mark_is_not_read(self, tmp_path, monkeypatch, capsys):
+        """A config or requirement file saved with a UTF-8 byte-order mark reads
+        as without it: the mark is neither in the first config key nor in the
+        prompt."""
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfendpoint = http://127.0.0.1:9/v1\nmodel = m\n")
+        req = tmp_path / "req.txt"
+        req.write_bytes(b"\xef\xbb\xbfsort a list")
+        code = main(["sample", "--config", str(cfg), "--print-config",
+                     "--out", str(tmp_path / "a.jsonl")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["endpoint"] == "http://127.0.0.1:9/v1"
+        prompts = []
+        monkeypatch.setattr(client, "sample_records",
+                            lambda requirement, language, config: prompts.append(requirement) or [])
+        code = main(["sample", "--config", str(cfg), "--requirement-file", str(req),
+                     "--out", str(tmp_path / "a.jsonl")])
+        assert code == 0
+        assert prompts == ["sort a list"]
 
 
 class TestEstimateCommand:

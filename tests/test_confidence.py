@@ -656,3 +656,49 @@ class TestPairStage:
         samples = sample_set([PYTHON_CORPUS[0], "ZEROVEC = 1"])
         with pytest.raises(DegenerateEmbedding):
             estimate_confidence(samples, SimilarityWeights.uniform(), provider)
+
+
+def stage_scores(samples, provider):
+    """``walk_scores``'s values from the pair stage: ``estimate_confidence`` at
+    both weightings and ``modality_means``, as ``float.hex()``."""
+    return ([estimate_confidence(samples, w, provider).confidence.hex()
+             for w in (SimilarityWeights.uniform(), SimilarityWeights(0.4, 0.3, 0.2, 0.1))]
+            + [m.hex() for m in modality_means(samples, provider)])
+
+
+def repeat_program(i, repeats):
+    """Program i of a set whose programs fell into a loop: 100 lines of names
+    no other program has, then one line ``repeats`` times."""
+    return "\n".join([f"def f{i}(x):", *(f"    v{i}_{k} = x + {k}" for k in range(100)),
+                      *["    x = x + 1"] * repeats, "    return x", ""])
+
+
+class TestRepeatedLines:
+    """A line repeated until the token limit gives a program's multisets
+    counts far above the eight levels a mask holds per key."""
+
+    @pytest.mark.parametrize("n", [10, 20, 40])
+    def test_masks_hold_at_most_a_byte_per_key(self, n, local_provider, monkeypatch):
+        built = []
+        real = confidence.level_masks
+
+        def record(multisets):
+            built.append((multisets, real(multisets)))
+            return built[-1][1]
+
+        monkeypatch.setattr(confidence, "level_masks", record)
+        samples = sample_set([repeat_program(i, 300) for i in range(n)])
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+        assert len(built) == 6
+        for multisets, masks in built:
+            keys = len(set().union(*multisets))
+            assert max((bits.bit_length() + 7) // 8 for bits, _ in masks) <= keys
+
+    @pytest.mark.parametrize("programs", [
+        [(0, 9), (1, 9), (0, 9)], [(0, 100), (1, 100), (0, 100)],
+        [(0, 300), (1, 300), (0, 300)], [(0, 9), (0, 100), (0, 300), (1, 300), (0, 100)]],
+        ids=["9", "100", "300", "mixed"])
+    def test_scores_equal_the_walks(self, programs, local_provider):
+        """Bit for bit, with copies among the programs."""
+        samples = sample_set([repeat_program(i, repeats) for i, repeats in programs])
+        assert stage_scores(samples, local_provider) == walk_scores(samples, local_provider)

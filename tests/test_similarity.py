@@ -325,7 +325,7 @@ class TestBitIdenticalToSeedFormulas:
 
 
 _KEYS = st.one_of(st.sampled_from("abcd"), st.tuples(st.sampled_from("ab"), st.sampled_from("ab")))
-# counts past 255 reach the excess kept beside the masks
+# counts past 8 reach the excess kept beside the masks
 _MULTISETS = st.dictionaries(_KEYS, st.one_of(st.integers(1, 40), st.integers(250, 520)),
                              max_size=6).map(Counter)
 
@@ -353,7 +353,8 @@ class TestLevelMasks:
     def test_counts_around_a_byte(self):
         counts = [Counter({"(": c, "x": 2}) for c in (0, 1, 7, 8, 9, 254, 255, 256, 257, 3001)]
         masks = level_masks(counts)
-        assert [excess for _, excess in masks] == [None] * 7 + [{"(": 1}, {"(": 2}, {"(": 2746}]
+        assert [excess for _, excess in masks] == [None] * 4 + [
+            {"(": 1}, {"(": 246}, {"(": 247}, {"(": 248}, {"(": 249}, {"(": 2993}]
         for p, mask_p in enumerate(masks):
             for q, mask_q in enumerate(masks):
                 assert masked_overlap(mask_p, mask_q) == _overlap(counts[p], counts[q])
