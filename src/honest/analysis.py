@@ -13,6 +13,7 @@ downstream similarity code is language-agnostic; no analysis builds a tree.
 from __future__ import annotations
 
 import ast
+import bisect
 import threading
 import warnings
 from collections import Counter
@@ -72,9 +73,10 @@ _AST_PARSE_LOCK = threading.Lock()
 
 def _opens_statement(line: str) -> bool:
     """Whether ``line`` starts a top-level statement that cannot continue the one
-    above it: it starts at column 0 (so it is not empty, indented or a comment)
-    and does not open an ``else``, ``elif``, ``except`` or ``finally`` clause."""
-    return (line[:1] not in " \t\f#"
+    above it: it starts at column 0 (so it is not empty, indented or a comment),
+    is not a backslash continuation, whose indentation the next line sets, and
+    does not open an ``else``, ``elif``, ``except`` or ``finally`` clause."""
+    return (line[:1] not in " \t\f#\\"
             and not line.startswith(("else", "elif", "except", "finally")))
 
 
@@ -89,7 +91,7 @@ def _clean_prefix(lines: list[str]) -> bool:
     text = "\n".join(lines)
     try:
         ast.parse(text)
-    except (SyntaxError, RecursionError, MemoryError, UnicodeEncodeError):
+    except (SyntaxError, ValueError, RecursionError, MemoryError, UnicodeEncodeError):
         return False
     try:
         ast.parse(text + "\n=")
@@ -98,42 +100,143 @@ def _clean_prefix(lines: list[str]) -> bool:
     return False  # a "=" line never parses
 
 
+def _holds_no_token(line: str) -> bool:
+    """Whether ``line`` is blank or only a comment, so the tokenizer reads nothing on it."""
+    text = line.lstrip(" \t\f")
+    return not text or text[0] == "#"
+
+
+def _opens_with_closer(line: str) -> bool:
+    return line.lstrip(" \t\f").startswith((")", "]", "}"))
+
+
+def _logical_line_bounds(module: ast.Module, lines: list[str], ends: set[int],
+                         starts: set[int]) -> tuple[set[int], set[int]]:
+    """Of the line numbers in ``ends``, those on which a statement of ``module``
+    (parsed from ``lines``) ends with nothing after it but blanks or a comment;
+    of those in ``starts``, those whose first token starts a statement."""
+    found_ends, found_starts, stack = set(), set(), list(module.body)
+    while stack:
+        node = stack.pop()
+        if node.end_lineno in ends:
+            line = lines[node.end_lineno - 1]
+            rest = (line[node.end_col_offset:] if line.isascii()  # the offset counts UTF-8 bytes
+                    else line.encode()[node.end_col_offset:].decode())
+            if _holds_no_token(rest):
+                found_ends.add(node.end_lineno)
+        if node.lineno in starts:
+            line = lines[node.lineno - 1]
+            if node.col_offset == len(line) - len(line.lstrip(" \t\f")):
+                found_starts.add(node.lineno)
+        for name in ("body", "orelse", "finalbody"):
+            stack += getattr(node, name, ())
+        for clause in (*getattr(node, "handlers", ()), *getattr(node, "cases", ())):
+            stack += clause.body
+    return found_ends, found_starts
+
+
+def _drop_closer_lines(lines: list[str], at: int) -> tuple[ast.Module, int] | None:
+    """The module and the drops that the plain loop (parse the whole text, drop
+    the line its error names, repeat) ends with from ``lines``, if it drops, in
+    turn, exactly the lines from ``at`` on that open with a closing bracket, and
+    then parses the rest; None if one parse of the rest cannot show that.
+
+    It is shown if the rest parses and, before each such line, the tokenizer
+    ends a logical line: no line above it holds a token, or the last one that
+    does ends a statement of the rest with nothing after it but blanks or a
+    comment, or the next line with a token starts a statement and the one above
+    does not end in a backslash.
+
+    Why the plain loop then drops each such line in turn: its text at that drop
+    agrees with the rest up to the end of that logical line. CPython's parser
+    asks for tokens one at a time and acts only on those it has; it parses the
+    rest, so on that text its first pass asks for the next token too, which
+    comes from the line: an INDENT, a DEDENT, an indentation error raised there,
+    or the bracket, an "unmatched" error at bracket level 0. The error lands on
+    the line whatever the parser does next. A tokenizer error is reported where
+    it is read. A failure at an INDENT or DEDENT is reported there, unless the
+    error-reporting pass raises an error of its own, anywhere; the check of the
+    rest of the source then reads on from that token to the bracket, and its
+    error replaces that one.
+    """
+    kept, dropped = lines[:at], []  # dropped: where in kept each such line sat
+    for line in lines[at:]:
+        if _opens_with_closer(line):
+            dropped.append(len(kept))
+        else:
+            kept.append(line)
+    try:
+        module = ast.parse("\n".join(kept))
+    except (SyntaxError, ValueError, RecursionError, MemoryError, UnicodeEncodeError):
+        return None
+    with_token = [i for i, line in enumerate(kept) if not _holds_no_token(line)]
+    # of each dropped line, the kept lines with a token above and below it (-1, None: none)
+    around = [(with_token[k - 1] if k else -1, with_token[k] if k < len(with_token) else None)
+              for k in (bisect.bisect_left(with_token, i) for i in dropped)]
+    ends, starts = _logical_line_bounds(module, kept, {x + 1 for x, _ in around},
+                                        {y + 1 for _, y in around if y is not None})
+    for x, y in around:
+        if not (x < 0 or x + 1 in ends
+                or y is not None and y + 1 in starts
+                and not kept[x].rstrip(" \t\f").endswith("\\")):
+            return None
+    return module, len(dropped)
+
+
 def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     """Parse Python source, dropping the line each SyntaxError names until the
     rest parses. Returns the module and how many lines were dropped.
 
     Lines are the ones Python reads: they break only at "\\r\\n", "\\r" and "\\n".
-    Always ends: once every line is dropped, the empty source parses. Nesting
-    too deep for ``ast.parse`` (RecursionError; MemoryError from its fixed stack)
-    or a lone surrogate it cannot encode gives an empty module, every line dropped.
+    Always ends: once every line is dropped, the empty source parses. A NUL byte
+    names no line (a ValueError up to CPython 3.10): the first line holding one
+    is dropped. Nesting too deep for ``ast.parse`` (RecursionError; MemoryError
+    from its fixed stack) or a lone surrogate it cannot encode gives an empty
+    module, every line dropped.
 
-    Each attempt parses only the lines from the top of a stack of marks, so a
-    drop costs the distance from that mark to the error, not the whole file. A
-    mark is a line that opens a top-level statement (``_opens_statement``) after
-    a clean prefix (``_clean_prefix``, checked from the mark below it): an error
-    in the whole text then lies at or after the mark, on the line the parse from
-    the mark names. From the second drop on, the last line before the error's
-    that opens a statement is checked and, if its prefix is clean, becomes a
-    mark. Lines an earlier drop looked at are skipped, so damage that leaves no
-    clean prefix (an unclosed bracket) costs no rescans and about one failed
-    check per surviving line. A mark whose own line is dropped is popped unless
-    the line now there opens a statement too. Once the lines from a mark parse,
-    the whole text is parsed once more, so the module is a parse of every
-    surviving line; should that fail, recovery goes on from line 1.
+    A clean program costs one parse. The first time an error falls on a line
+    that opens with a closing bracket (")", "]" or "}", after its indentation)
+    and reads "unmatched" or is an IndentationError, as such a line's error at
+    the start of a logical line does, every line from there on that opens so is
+    dropped at once and the rest parsed whole: ``_drop_closer_lines`` shows, from
+    that one parse and its tree, that parsing the whole text at each drop would
+    drop the same lines in turn. So a long program with many stray closing
+    brackets, the commonest damage in the benchmark, costs two parses.
+
+    Otherwise, or if that cannot be shown, each attempt parses only the lines
+    from the top of a stack of marks, so a drop costs the distance from that
+    mark to the error, not the whole file. A mark is a line that opens a
+    top-level statement (``_opens_statement``) after a clean prefix
+    (``_clean_prefix``, checked from the mark below it): an error in the whole
+    text then lies at or after the mark, on the line the parse from the mark
+    names. From the second drop on, the last line before the error's that opens
+    a statement is checked and, if its prefix is clean, becomes a mark. Lines an
+    earlier drop looked at are skipped, so damage that leaves no clean prefix
+    (an unclosed bracket) costs no rescans and about one failed check per
+    surviving line. A mark whose own line is dropped is popped unless the line
+    now there opens a statement too. Once the lines from a mark parse, the whole
+    text is parsed once more, so the module is a parse of every surviving line;
+    should that fail, recovery goes on from line 1.
     """
     lines = source.replace("\r\n", "\n").replace("\r", "\n").removesuffix("\n").split("\n")
-    dropped, marks, seen = 0, [0], 0
+    dropped, marks, seen, closers = 0, [0], 0, True
     with _AST_PARSE_LOCK, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # "1if" warns
         while True:
             mark = marks[-1]
             try:
                 module = ast.parse("\n".join(lines[mark:]))
-            except SyntaxError as exc:
-                # a NUL byte fails the whole source and names no line
-                line = exc.lineno or next(
+            except (SyntaxError, ValueError) as exc:
+                line = getattr(exc, "lineno", None) or next(
                     (i + 1 for i, s in enumerate(lines[mark:]) if "\0" in s), 1)
                 at = mark + min(line, len(lines) - mark) - 1
+                if closers and _opens_with_closer(lines[at]) and (
+                        isinstance(exc, IndentationError)
+                        or getattr(exc, "msg", "").startswith("unmatched")):
+                    closers = False  # tried once: each try parses the whole text
+                    found = _drop_closer_lines(lines, at)
+                    if found:
+                        return found[0], dropped + found[1]
                 del lines[at]
                 dropped += 1
                 if mark and at == mark < len(lines) and not _opens_statement(lines[at]):

@@ -77,7 +77,8 @@ def write_text(path: str | Path, text: str) -> None:
 
 def _open_text(path: str | Path):
     opener = gzip.open if Path(path).suffix == ".gz" else open
-    return opener(path, "rt", encoding="utf-8", newline="\n")  # only "\n" ends a line
+    # "utf-8-sig": a byte-order mark at the start is not part of the first line
+    return opener(path, "rt", encoding="utf-8-sig", newline="\n")  # only "\n" ends a line
 
 
 def read_lines(path: str | Path, fields: set[str]) -> Iterator[tuple[int, dict]]:

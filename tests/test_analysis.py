@@ -620,8 +620,9 @@ def seed_parse_python_ast(source):
         while True:
             try:
                 return ast.parse("\n".join(lines)), dropped
-            except SyntaxError as exc:
-                line = exc.lineno or next((i + 1 for i, s in enumerate(lines) if "\0" in s), 1)
+            except (SyntaxError, ValueError) as exc:  # a NUL byte: ValueError up to 3.10
+                line = getattr(exc, "lineno", None) or next(
+                    (i + 1 for i, s in enumerate(lines) if "\0" in s), 1)
                 del lines[min(line, len(lines)) - 1]
                 dropped += 1
             except (RecursionError, MemoryError, UnicodeEncodeError):
@@ -657,15 +658,44 @@ def bench_sources(language):
     return list(dict.fromkeys(sources))
 
 
+# A lone backslash is no mark: the line after it sets the indentation, so the
+# seed loop drops 2 lines here, where marks set on it dropped 4.
+BACKSLASH_LINE = ("if x:\n        z = 3\n\\\n        out *= i\n    mid = len(ordered) // 2\n"
+                  "    if len(ordered) % 2:\n")
+
+
+def class_body(source):
+    """``source`` indented into one class body: no line but the first at column 0."""
+    return "class Body:\n" + "\n".join("    " + line if line.strip() else line
+                                       for line in source.split("\n"))
+
+
+def long_class_body():
+    """531 lines: ``gen.long_python`` with 85 bad lines in one class body."""
+    return class_body(bench_gen().long_python(random.Random(0), 400, 85))
+
+
+def junk_text(rng, size):
+    """Seeded junk: ``size`` characters of code-ish pieces."""
+    pieces = ["(", ")", "[", "]", "{", "}", ":", "=", "\n", "\n    ", "\\\n", "x", "1",
+              " ", "'", '"', "#", "if ", "def ", "else", ",", "\t"]
+    return "".join(rng.choice(pieces) for _ in range(size))[:size]
+
+
 # Lines that broke early versions of the recovery that resumes from marks: a
 # column-0 line dropped with indented lines below it, calls that CPython's
 # error-reporting pass reads as soft-keyword statements, clauses and a decorator
 # at column 0 that continue the statement above, a class header whose "):" sits
-# at column 0, the benchmark's bad line, a NUL byte and nesting too deep to parse.
+# at column 0, the benchmark's bad line, a NUL byte and nesting too deep to parse;
+# lines that open with a closing bracket, some closing a real one, for the
+# recovery that drops them all at once; and a lone backslash, which continues
+# into the next line and so opens no statement.
 _DAMAGE_LINES = st.sampled_from([
     "x = = 1", "def broken(:", "    ) broken_k = = k (", "match(x)", "case(1)", "type(x)",
     "else:", "except E:", "@d", "class A(\n    B\n):", "class A(", "    B", "):",
     "def f():", "if x:", "try:", "    pass", "    y = x", "        z = y", "a\0b",
+    ")", "    ]", "\t}", "\f)", ") # c", "x = (", "x = [1,", "    )", "s = '''", "'''",
+    "x = 1 \\", "\\", "# c",
     *DEEP_PYTHON.values()])
 damaged_python = st.tuples(
     st.lists(st.one_of(_DAMAGE_LINES, _py_statements), max_size=12),
@@ -673,18 +703,27 @@ damaged_python = st.tuples(
 
 
 class TestPythonConversionIterative:
-    """The package's Python trees equal ``seed_python_cst``'s: the recovery that
-    resumes from marks drops the lines the seed loop drops, and the iterative
-    conversion builds the tree the recursive one builds."""
+    """The package's Python trees equal ``seed_python_cst``'s: the recovery,
+    which resumes from marks or drops lines that open with a closing bracket in
+    one step, drops the lines the seed loop drops, and the iterative conversion
+    builds the tree the recursive one builds."""
 
     # ast shares operator nodes such as ast.Add between parents
     SHARED_OPERATORS = ["x = a + b + c", "y = -a - b", "x = a + b + c\ny = -a - b\ndef f(:\n"]
 
+    # the seed loop drops these one parse of the rest at a time, so they stay small
+    BACKSLASH_RUNS = ["\\\n" * k for k in (1, 2, 5, 20)] + [
+        "x = 1\n\\\n\\\ny = 2\n", BACKSLASH_LINE]
+
     def test_same_tree_as_recursive_conversion(self):
         gen = bench_gen()
         long_programs = [gen.long_python(random.Random(s), 300, 85) for s in range(3)]
+        hostile = [s for seed in range(3, 6)
+                   for s in gen.hostile_python_set(random.Random(seed), 20)]
+        junk = [junk_text(random.Random(seed), 200) for seed in range(20)]
         sources = [*PYTHON_CORPUS, *(s for s, _ in PYTHON_DATAFLOW_ORACLE),
-                   *self.SHARED_OPERATORS, *bench_sources("python"), *long_programs]
+                   *self.SHARED_OPERATORS, *bench_sources("python"), *long_programs,
+                   *dict.fromkeys(hostile), long_class_body(), *self.BACKSLASH_RUNS, *junk]
         for source in sources:
             assert _parse_python_ast(source)[1] == seed_parse_python_ast(source)[1], source
             assert parse_cst(py(source)) == seed_python_cst(source), source
@@ -699,6 +738,7 @@ class TestPythonConversionIterative:
     # read as a match statement by the error-reporting pass
     @example(source="if x:\n    pass\nclass A(\n    B\nif x:\ndef broken(:")
     @example(source="match(x)\nclass A(\nif x:\n    y = x\n    B\ncase(1)\n):")
+    @example(source=BACKSLASH_LINE)
     @settings(max_examples=300, deadline=None)
     def test_same_drops_on_damaged_text(self, source):
         module, dropped = _parse_python_ast(source)
@@ -720,9 +760,21 @@ class TestPythonConversionIterative:
     # one drop, one parse that succeeds
     ("x = 1\f\ny = = 2\nz = x\n", 1, 2),
     # four failed parses and one that succeeds; "d" is checked once, at the
-    # second drop, and fails ("x = {" does not parse), then is not checked again
+    # second drop, and fails ("x = {" does not parse), then is not checked again;
+    # the first error says the ")" closes a bracket, so no line is dropped at once
     ("x = {\nd\n)\n)\n)\n", 4, 6),
-], ids=["clean", "one-bad-line", "two-bad-lines", "form-feed", "unclosed-bracket"])
+    # the first error falls on a line that opens with ")": both such lines are
+    # dropped at once, and one parse of the rest shows the seed loop drops them
+    ("a = 1\n    ) x\nb = a\n    ) y\n", 2, 2),
+    # the same after a block header: the line after the dropped one starts a statement
+    ("def f():\n    ) x\n    return 1\n", 1, 2),
+    # the rest does not parse, so that try costs one parse; then one drop at a
+    # time: "y = = 1" fails, and "" parses
+    ("    ) x\ny = = 1\n", 2, 4),
+    # no mark on the lone backslash: two failed parses from line 1, one that succeeds
+    (BACKSLASH_LINE, 2, 3),
+], ids=["clean", "one-bad-line", "two-bad-lines", "form-feed", "unclosed-bracket",
+        "stray-closers", "closer-after-header", "closers-and-other-damage", "backslash-line"])
 def test_parse_count(source, drops, parses, monkeypatch):
     calls = []
     parse = analysis.ast.parse
@@ -736,10 +788,30 @@ def test_parse_count(source, drops, parses, monkeypatch):
     assert len(calls) == parses
 
 
+@pytest.mark.parametrize("source", [PYTHON_DATAFLOW_ORACLE[-1][0], "a\0\n    ) x\nb = 1\0\nc = 2\n"],
+                         ids=["oracle", "closer"])
+def test_nul_byte_raises_value_error_up_to_python_3_10(source, monkeypatch):
+    """CPython 3.10's ast.parse raises ValueError for a NUL byte, where 3.11 on
+    raise SyntaxError naming no line: the first line holding one is dropped all
+    the same. Forced here on every interpreter."""
+    parse = ast.parse
+
+    def parse_3_10(text, *args, **kwargs):
+        if "\0" in text:
+            raise ValueError("source code string cannot contain null bytes")
+        return parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", parse_3_10)
+    module, dropped = _parse_python_ast(source)
+    seed_module, seed_dropped = seed_parse_python_ast(source)
+    assert dropped == seed_dropped >= 1
+    assert _convert_py(module, dropped) == _convert_py(seed_module, seed_dropped)
+
+
 def test_long_damaged_program_recovers_in_bounded_time():
-    """Recovery resumes from its marks, so a drop costs about the distance
-    between errors, not the file: the seed loop, which parses every attempt from
-    line 1, takes over 15 s on this program (CPython 3.11, 2 vCPU)."""
+    """Recovery drops the inserted bad lines, which open with ")", in one step:
+    the seed loop, which parses every attempt from line 1, takes over 15 s on
+    this program (CPython 3.11, 2 vCPU)."""
     source = bench_gen().long_python(random.Random(0), 2460, 1200)
     assert source.count("\n") == 3745
     start = time.perf_counter()

@@ -257,6 +257,13 @@ class TestTuneWeights:
         assert data["train_auroc"] == 0.875
         assert load_weights(path) == SimilarityWeights(0.1, 0.2, 0.3, 0.4)
 
+    def test_weights_file_with_a_byte_order_mark_loads(self, tmp_path):
+        from honest.confidence import TuningResult
+        path = tmp_path / "weights.json"
+        save_weights(TuningResult(SimilarityWeights(0.1, 0.2, 0.3, 0.4), 0.875, 1771), path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_weights(path) == SimilarityWeights(0.1, 0.2, 0.3, 0.4)
+
 
 class TestAnalyzeProgram:
     def test_lexes_once(self, local_provider, monkeypatch):

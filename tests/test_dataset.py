@@ -63,6 +63,15 @@ class TestBenchmarkIo:
                                  + end for rid in "ab").encode())
         assert [s.id for s in load_benchmark(path)] == ["a", "b"]
 
+    def test_byte_order_mark_is_not_read(self, tmp_path):
+        """A file saved with a UTF-8 byte-order mark loads; writes carry none."""
+        samples = [bench(i) for i in range(2)]
+        path = tmp_path / "bench.jsonl"
+        save_benchmark(samples, path)
+        assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_benchmark(path) == samples
+
     def test_labels_parsed_to_bool(self, tmp_path):
         path = tmp_path / "b.jsonl"
         line = dict(VALID_LINE, labels={"m1": "passed", "m2": "failed"})
@@ -161,6 +170,15 @@ class TestSampleArchive:
     def test_gzip_round_trip(self, tmp_path):
         path = tmp_path / "arch.jsonl.gz"
         save_samples([self.entry()], path)
+        assert load_samples(path) == [self.entry()]
+
+    @pytest.mark.parametrize("name", ["arch.jsonl", "arch.jsonl.gz"])
+    def test_byte_order_mark_is_not_read(self, tmp_path, name):
+        plain = tmp_path / "plain.jsonl"
+        save_samples([self.entry()], plain)
+        data = b"\xef\xbb\xbf" + plain.read_bytes()
+        path = tmp_path / name
+        path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
         assert load_samples(path) == [self.entry()]
 
     def test_optional_fields_omitted_from_disk(self, tmp_path):
