@@ -201,7 +201,8 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
     dropped at once and the rest parsed whole: ``_drop_closer_lines`` shows, from
     that one parse and its tree, that parsing the whole text at each drop would
     drop the same lines in turn. So a long program with many stray closing
-    brackets, the commonest damage in the benchmark, costs two parses.
+    brackets costs two parses. That is the bad line the benchmark's generator
+    inserts; how often real model output opens a line so is not measured.
 
     Otherwise, or if that cannot be shown, each attempt parses only the lines
     from the top of a stack of marks, so a drop costs the distance from that
@@ -226,6 +227,8 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
             mark = marks[-1]
             try:
                 module = ast.parse("\n".join(lines[mark:]))
+            except (RecursionError, MemoryError, UnicodeEncodeError):  # before ValueError, its base
+                return ast.Module([], []), dropped + len(lines)
             except (SyntaxError, ValueError) as exc:
                 line = getattr(exc, "lineno", None) or next(
                     (i + 1 for i, s in enumerate(lines[mark:]) if "\0" in s), 1)
@@ -249,8 +252,6 @@ def _parse_python_ast(source: str) -> tuple[ast.Module, int]:
                     seen = at - 1
                     if new is not None and _clean_prefix(lines[top:new]):
                         marks.append(new)
-            except (RecursionError, MemoryError, UnicodeEncodeError):
-                return ast.Module([], []), dropped + len(lines)
             else:
                 if not mark:
                     return module, dropped

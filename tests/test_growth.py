@@ -8,13 +8,14 @@ including the error's line of one that fails (past it, a failed parse only
 scans for a later tokenizer error).
 
 Shapes still superlinear, so not here: a run of backslash-newlines, and seeded
-junk, whose drops each re-parse the whole rest.
+junk, whose drops each re-parse the whole rest, and bad lines that open with no
+closing bracket inside one class body, where no mark forms.
 """
 import ast
 import random
 
 import pytest
-from test_analysis import bench_gen, class_body
+from test_analysis import at_column_0, bench_gen, class_body
 
 from honest.analysis import _parse_python_ast
 
@@ -46,6 +47,8 @@ def prose(rng, count):
 PYTHON_SHAPES = {
     "bad-lines": bad_lines,
     "class-body-bad-lines": lambda rng, count: class_body(bad_lines(rng, count)),
+    # the same bad lines without their closing bracket: the marks loop's path
+    "column-0-bad-lines": lambda rng, count: at_column_0(bad_lines(rng, count)),
     "truncated": truncated,
     "prose": prose,
 }
