@@ -6,7 +6,7 @@ import json
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .analysis import Bag, _fingerprints, _walk_and_dataflow
 from .dataset import _open_text, write_text
@@ -109,22 +109,24 @@ def _one_set(analyses: Sequence[ProgramAnalysis]) -> list[ProgramAnalysis]:
     return [replace(a, in_set=(table, x)) for x, a in enumerate(analyses)]
 
 
-def _symmetric_terms(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple:
-    """The six overlaps and the cosine of a pair: the same for both orders, so
+def _similarities(a_i: ProgramAnalysis, a_j: ProgramAnalysis) -> tuple[float, float, float, float]:
+    """The text, syntax, dataflow and embedding similarities of program i to
+    program j. Their six overlaps and cosine are the same for both orders, so
     within one set a pair computes them once. Analyses from no set, or from
     two, compute them afresh in a table of their own."""
-    if a_i.in_set and a_j.in_set and a_i.in_set[0] is a_j.in_set[0]:
-        return a_i.in_set[0].pair(a_i.in_set[1], a_j.in_set[1])
-    return _PairTable([a_i, a_j]).pair(0, 1)
+    if not (a_i.in_set and a_j.in_set and a_i.in_set[0] is a_j.in_set[0]):
+        a_i, a_j = _one_set([a_i, a_j])
+    *ngrams, subtrees, edges, embedding = a_i.in_set[0].pair(a_i.in_set[1], a_j.in_set[1])
+    return (text_ratio(ngrams, len(a_i.tokens), len(a_j.tokens)),
+            clipped_ratio(subtrees, a_i.subtree_bag.size, a_j.subtree_bag.size),
+            clipped_ratio(edges, a_i.dataflow.size, a_j.dataflow.size),
+            embedding)
 
 
 def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,
                    weights: SimilarityWeights) -> SimilarityBreakdown:
     """The four similarities of program i to program j, and their hybrid."""
-    *ngrams, subtrees, edges, embedding = _symmetric_terms(a_i, a_j)
-    text = text_ratio(ngrams, len(a_i.tokens), len(a_j.tokens))
-    syntax = clipped_ratio(subtrees, a_i.subtree_bag.size, a_j.subtree_bag.size)
-    dataflow = clipped_ratio(edges, a_i.dataflow.size, a_j.dataflow.size)
+    text, syntax, dataflow, embedding = _similarities(a_i, a_j)
     hybrid = sim_hybrid(text, syntax, dataflow, embedding, weights)
     return SimilarityBreakdown(i, j, text, syntax, dataflow, embedding, hybrid)
 
@@ -134,18 +136,18 @@ def pairwise_confidence(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def _pairs(samples: SampleSet, weights: SimilarityWeights,
-           provider: EmbeddingProviderConfig) -> list[SimilarityBreakdown]:
-    """Breakdowns of all N*(N-1) ordered pairs (i, j), i != j, in row order.
+def _pairs(samples: SampleSet, provider: EmbeddingProviderConfig,
+           pair: Callable[..., object], *args) -> list:
+    """``pair(i, j, a_i, a_j, *args)`` of all N*(N-1) ordered pairs, i != j, in row order.
 
     The analysis reads only a program's source and the set's one language,
     so identical sources are analysed once, at the index where the source
     first appears; a remote provider embeds them all in one request first.
     One walk over the rows maps each pair to the first indices of its two
     sources. The first pair to reach an ordered pair of first indices calls
-    ``pair_breakdown`` for it; later copies reuse that breakdown, so its
-    ``i`` and ``j`` are the first indices, not the pair's own. The two orders
-    of a pair share their symmetric terms through the set's pair table.
+    ``pair`` for it; later copies reuse its value, so ``i`` and ``j`` are the
+    first indices, not the pair's own. The two orders of a pair share their
+    symmetric terms through the set's pair table.
     """
     n = len(samples)
     if n < 2:
@@ -156,13 +158,13 @@ def _pairs(samples: SampleSet, weights: SimilarityWeights,
     distinct = list(first.values())
     analyses = dict(zip(distinct, _one_set(
         [analyze_program(samples.programs[k], provider) for k in distinct])))
-    memo: dict[tuple[int, int], SimilarityBreakdown] = {}
+    memo: dict[tuple[int, int], object] = {}
     pairs = []
     for i, ki in enumerate(keys):
         for j, kj in enumerate(keys):
             if i != j:
                 if (ki, kj) not in memo:
-                    memo[ki, kj] = pair_breakdown(ki, kj, analyses[ki], analyses[kj], weights)
+                    memo[ki, kj] = pair(ki, kj, analyses[ki], analyses[kj], *args)
                 pairs.append(memo[ki, kj])
     return pairs
 
@@ -170,7 +172,7 @@ def _pairs(samples: SampleSet, weights: SimilarityWeights,
 def estimate_confidence(samples: SampleSet, weights: SimilarityWeights,
                         provider: EmbeddingProviderConfig) -> ConfidenceReport:
     """Mean hybrid similarity over all N*(N-1) ordered pairs of programs."""
-    pairs = _pairs(samples, weights, provider)
+    pairs = _pairs(samples, provider, pair_breakdown, weights)
     return ConfidenceReport(
         requirement_id=samples.requirement_id,
         n=len(samples),
@@ -180,15 +182,13 @@ def estimate_confidence(samples: SampleSet, weights: SimilarityWeights,
 
 def modality_means(samples: SampleSet,
                    provider: EmbeddingProviderConfig) -> tuple[float, float, float, float]:
-    """Per-modality mean over all ordered pairs; the hybrid confidence for any
-    weight tuple is just the dot product with these means."""
-    pairs = _pairs(samples, SimilarityWeights.uniform(), provider)
+    """Per-modality mean over all ordered pairs, summed left to right in row
+    order from each distinct ordered pair's four similarities, mixing none;
+    the hybrid confidence for any weight tuple is the dot product with these."""
+    pairs = _pairs(samples, provider, lambda i, j, a, b: _similarities(a, b))
     sums = [0.0, 0.0, 0.0, 0.0]
-    for bd in pairs:
-        sums[0] += bd.text
-        sums[1] += bd.syntax
-        sums[2] += bd.dataflow
-        sums[3] += bd.embedding
+    for similarities in pairs:
+        sums = [s + x for s, x in zip(sums, similarities)]
     return tuple(s / len(pairs) for s in sums)  # type: ignore[return-value]
 
 

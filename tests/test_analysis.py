@@ -665,6 +665,18 @@ BACKSLASH_LINE = ("if x:\n        z = 3\n\\\n        out *= i\n    mid = len(ord
                   "    if len(ordered) % 2:\n")
 
 
+# Sources that reach the rare branches of the one-step drop of lines that open
+# with a closing bracket: a ")" line inside a string, which the seed loop never
+# reaches, so the step gives up; clause bodies of try and match statements; and
+# a line holding non-ASCII text, whose end offset counts UTF-8 bytes.
+CLOSER_BRANCHES = {
+    "closer-in-string": "a = 1\n) bad\ns = '''x\n) inside string\n'''\n",
+    "closer-in-except": "try:\n    z = 1\nexcept ValueError:\n    z = 2\n    ) bad\n    z = 3\n",
+    "closer-in-case": "match x:\n    case 1:\n        q = 1\n        ) bad\n        q = 2\n",
+    "closer-after-non-ascii": "x = '\u00e9'  # caf\u00e9\n) bad\ny = 1\n",
+}
+
+
 def class_body(source):
     """``source`` indented into one class body: no line but the first at column 0."""
     return "class Body:\n" + "\n".join("    " + line if line.strip() else line
@@ -731,7 +743,8 @@ class TestPythonConversionIterative:
         junk = [junk_text(random.Random(seed), 200) for seed in range(20)]
         sources = [*PYTHON_CORPUS, *(s for s, _ in PYTHON_DATAFLOW_ORACLE),
                    *self.SHARED_OPERATORS, *bench_sources("python"), *long_programs,
-                   *dict.fromkeys(hostile), long_class_body(), *self.BACKSLASH_RUNS, *junk]
+                   *dict.fromkeys(hostile), long_class_body(), *self.BACKSLASH_RUNS, *junk,
+                   *CLOSER_BRANCHES.values()]
         for source in sources:
             assert _parse_python_ast(source)[1] == seed_parse_python_ast(source)[1], source
             assert parse_cst(py(source)) == seed_python_cst(source), source
@@ -783,9 +796,16 @@ class TestPythonConversionIterative:
     (BACKSLASH_LINE, 2, 3),
     # a lone surrogate cannot be encoded: the first parse gives up, every line dropped
     ("a = 1\nb = '\ud800'\nc = 2\n", 3, 1),
+    # the rest parses, but the second ")" line sits in a string, where the seed loop
+    # drops nothing: the step gives up, and the loop drops the first line alone
+    (CLOSER_BRANCHES["closer-in-string"], 1, 3),
+    # the dropped line sits in an except clause, a case body, or after non-ASCII text
+    (CLOSER_BRANCHES["closer-in-except"], 1, 2),
+    (CLOSER_BRANCHES["closer-in-case"], 1, 2),
+    (CLOSER_BRANCHES["closer-after-non-ascii"], 1, 2),
 ], ids=["clean", "one-bad-line", "two-bad-lines", "form-feed", "unclosed-bracket",
         "stray-closers", "closer-after-header", "closers-and-other-damage", "backslash-line",
-        "lone-surrogate"])
+        "lone-surrogate", *CLOSER_BRANCHES])
 def test_parse_count(source, drops, parses, monkeypatch):
     calls = []
     parse = analysis.ast.parse

@@ -446,21 +446,44 @@ class TestDistinctPrograms:
     @pytest.mark.parametrize("samples", _repeated_sets())
     def test_compares_each_distinct_ordered_pair_once(self, samples, local_provider,
                                                       monkeypatch):
-        keys = []
-        real = confidence.pair_breakdown
-
-        def counted(i, j, a_i, a_j, weights):
-            keys.append((i, j))
-            return real(i, j, a_i, a_j, weights)
-
-        monkeypatch.setattr(confidence, "pair_breakdown", counted)
-        modality_means(samples, local_provider)
+        """``estimate_confidence`` calls ``pair_breakdown`` and ``modality_means``
+        calls ``_similarities`` once per distinct ordered pair of first indices."""
         sources = [p.source for p in samples.programs]
         first = [sources.index(s) for s in sources]
         n = len(sources)
         want = {(first[i], first[j]) for i in range(n) for j in range(n) if i != j}
-        assert len(keys) == len(set(keys))
-        assert set(keys) == want
+        distinct = sorted(set(first))  # a pair table's index -> first index
+        keys = []
+        real_breakdown, real_similarities = confidence.pair_breakdown, confidence._similarities
+
+        def breakdown(i, j, a_i, a_j, weights):
+            keys.append((i, j))
+            return real_breakdown(i, j, a_i, a_j, weights)
+
+        def similarities(a_i, a_j):
+            keys.append((distinct[a_i.in_set[1]], distinct[a_j.in_set[1]]))
+            return real_similarities(a_i, a_j)
+
+        monkeypatch.setattr(confidence, "pair_breakdown", breakdown)
+        estimate_confidence(samples, SimilarityWeights.uniform(), local_provider)
+        assert len(keys) == len(set(keys)) and set(keys) == want
+        monkeypatch.undo()
+        keys.clear()
+        monkeypatch.setattr(confidence, "_similarities", similarities)
+        modality_means(samples, local_provider)
+        assert len(keys) == len(set(keys)) and set(keys) == want
+
+    @pytest.mark.parametrize("samples", _repeated_sets())
+    def test_modality_means_mixes_no_pair(self, samples, local_provider, monkeypatch):
+        """The means pass makes no hybrid, no breakdown and no weights."""
+        want = modality_means(samples, local_provider)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("called by modality_means")
+
+        for name in ("pair_breakdown", "sim_hybrid", "SimilarityBreakdown", "SimilarityWeights"):
+            monkeypatch.setattr(confidence, name, refused)
+        assert modality_means(samples, local_provider) == want
 
     @pytest.mark.parametrize("samples", _repeated_sets())
     def test_scores_equal_all_pairs_loop(self, samples, local_provider):
