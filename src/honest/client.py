@@ -67,6 +67,15 @@ def _check_endpoint(endpoint: str) -> None:
         raise ValueError(f"endpoint must be an http(s) URL with a host, got {endpoint!r}")
 
 
+def _check_retry_policy(retries: int, backoff: float) -> None:
+    """Raise ValueError unless ``_post_json`` can try with these: at least
+    once, sleeping a finite, non-negative time between attempts."""
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
+    if not 0.0 <= backoff < math.inf:  # also rejects NaN
+        raise ValueError(f"backoff must be finite and >= 0, got {backoff!r}")
+
+
 class SeedMode(Enum):
     INDEPENDENT = "independent"
     FIXED_SCHEDULE = "fixed-schedule"
@@ -96,6 +105,9 @@ class SamplingConfig:
             raise ValueError("max_tokens must be >= 1")
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
+        _check_retry_policy(self.retries, self.backoff)
+        if not 0.0 < self.timeout < math.inf:
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout!r}")
 
     def temperatures(self) -> list[float]:
         if self.seed_mode is SeedMode.FIXED_SCHEDULE:
@@ -143,6 +155,11 @@ def _post_json(url: str, body: dict, read: Callable[[Any], T],
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(API_KEY_ENV)
     if api_key:
+        if not (api_key.isascii() and api_key.isprintable()):
+            # a bearer token is printable ASCII; urlopen refuses a newline or a
+            # character outside Latin-1 with a ValueError on each attempt
+            raise error(f"{API_KEY_ENV} holds a character that is not printable"
+                        " ASCII, as a bearer token must be; nothing was sent")
         headers["Authorization"] = f"Bearer {api_key}"
     request = urllib.request.Request(
         url, data=json.dumps(body, allow_nan=False).encode(), headers=headers)

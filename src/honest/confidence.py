@@ -3,14 +3,17 @@ plus exhaustive-grid weight tuning on labeled training data."""
 from __future__ import annotations
 
 import json
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .analysis import Bag, _fingerprints, _walk_and_dataflow
 from .dataset import _open_text, write_text
-from .embeddings import EmbeddingProviderConfig, EmbeddingVector, _embed, prefetch
+from .embeddings import (EmbeddingProviderConfig, EmbeddingVector, ProviderKind, _embed,
+                         _remote_embed)
 from .errors import DegenerateLabels, TooFewSamples
 from .evaluation import mann_whitney_auroc
 from .model import Language, Program, SampleSet, TokenSequence, lex, token_sequence, tokenize
@@ -56,19 +59,44 @@ class ProgramAnalysis:
     in_set: Optional[tuple[_PairTable, int]] = None
 
 
-def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> ProgramAnalysis:
-    """Tokens, subtree bag, dataflow and embedding from at most one Pygments
-    pass: Java's stream feeds its tokens and parse, and Python's walk and
-    dataflow come from the source, so only its tokens may need Pygments."""
+def _local_parts(program: Program) -> tuple[TokenSequence, Bag, Bag]:
+    """Tokens, subtree bag and dataflow, the parts of an analysis that read no
+    vector, from at most one Pygments pass: Java's stream feeds its tokens and
+    parse, and Python's walk and dataflow come from the source, so only its
+    tokens may need Pygments."""
     lexed = lex(program) if program.language is Language.JAVA else None
     tokens = tokenize(program) if lexed is None else token_sequence(lexed)
     walk, dataflow = _walk_and_dataflow(program, lexed)
-    return ProgramAnalysis(
-        tokens=tokens,
-        subtree_bag=_fingerprints(walk),
-        dataflow=dataflow,
-        embedding=_embed(program.source, lambda: tokens, provider),
-    )
+    return tokens, _fingerprints(walk), dataflow
+
+
+def analyze_program(program: Program, provider: EmbeddingProviderConfig) -> ProgramAnalysis:
+    """Tokens, subtree bag, dataflow and embedding; the local provider hashes
+    the tokens."""
+    tokens, subtree_bag, dataflow = _local_parts(program)
+    return ProgramAnalysis(tokens, subtree_bag, dataflow,
+                           _embed(program.source, lambda: tokens, provider))
+
+
+def _analyses_under_request(programs: Sequence[Program],
+                            provider: EmbeddingProviderConfig) -> list[ProgramAnalysis]:
+    """``analyze_program`` of each of a set's distinct *programs*, for a remote
+    provider: one worker thread sends their embeddings request while this
+    thread computes their local parts, which read no vector. The worker is
+    joined before this returns, and an error of the request wins over a local
+    one, as when the request went first."""
+    with ThreadPoolExecutor(1) as worker:
+        request = worker.submit(_remote_embed, [p.source for p in programs], provider)
+        try:
+            parts = []
+            for program in programs:
+                # Hand the GIL to the worker if it waits: each step of sending
+                # (connect, send) would else wait out the 5 ms switch interval.
+                time.sleep(0)
+                parts.append(_local_parts(program))
+        finally:
+            vectors = request.result()
+    return [ProgramAnalysis(*part, vector) for part, vector in zip(parts, vectors)]
 
 
 def _multisets(a: ProgramAnalysis) -> tuple[Counter, ...]:
@@ -142,7 +170,8 @@ def _pairs(samples: SampleSet, provider: EmbeddingProviderConfig,
 
     The analysis reads only a program's source and the set's one language,
     so identical sources are analysed once, at the index where the source
-    first appears; a remote provider embeds them all in one request first.
+    first appears. A remote provider embeds them all in one request, sent
+    while their local parts are computed (``_analyses_under_request``).
     One walk over the rows maps each pair to the first indices of its two
     sources. The first pair to reach an ordered pair of first indices calls
     ``pair`` for it; later copies reuse its value, so ``i`` and ``j`` are the
@@ -154,10 +183,13 @@ def _pairs(samples: SampleSet, provider: EmbeddingProviderConfig,
         raise TooFewSamples(f"need at least 2 programs, got {n}")
     first: dict[str, int] = {}
     keys = [first.setdefault(p.source, k) for k, p in enumerate(samples.programs)]
-    prefetch(list(first), provider)
     distinct = list(first.values())
-    analyses = dict(zip(distinct, _one_set(
-        [analyze_program(samples.programs[k], provider) for k in distinct])))
+    programs = [samples.programs[k] for k in distinct]
+    if provider.kind is ProviderKind.REMOTE:
+        computed = _analyses_under_request(programs, provider)
+    else:
+        computed = [analyze_program(p, provider) for p in programs]
+    analyses = dict(zip(distinct, _one_set(computed)))
     memo: dict[tuple[int, int], object] = {}
     pairs = []
     for i, ki in enumerate(keys):

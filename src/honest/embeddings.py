@@ -17,7 +17,7 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Any, Callable, Optional, Sequence
 
-from .client import _check_endpoint, _post_json
+from .client import _check_endpoint, _check_retry_policy, _post_json
 from .errors import (
     DegenerateEmbedding,
     DimensionMismatch,
@@ -68,6 +68,9 @@ class EmbeddingProviderConfig:
     backoff: float = 0.5
 
     def __post_init__(self):
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        _check_retry_policy(self.retries, self.backoff)
         if self.kind is ProviderKind.REMOTE:
             if not self.endpoint or not self.model_name:
                 raise ValueError("remote provider requires endpoint and model_name")

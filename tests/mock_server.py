@@ -11,10 +11,13 @@ Judge prompts (containing "Answer with exactly one word") get a fixed
 Yes/No top-logprobs distribution, overridable via server.judge_alternatives.
 Embedding requests get one vector per ``input`` item, in order; a text that
 starts with FIXEDVEC gets (0.6, 0.8), and one that starts with ZEROVEC gets
-(0.0, 0.0). server.embedding_requests counts them.
+(0.0, 0.0). server.embedding_requests counts them, and server.on_embeddings,
+when set, is called before each one is answered.
 server.requests records each request as (path, headers), in arrival order.
 An ``input`` of more than EMBEDDING_INPUT_CAP items gets HTTP 400, as from
 text-embeddings-inference at its default --max-client-batch-size.
+A server built with threaded=False answers requests one at a time on its own
+thread, so it starts no thread per request.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 from corpus import PYTHON_CORPUS
 
@@ -35,8 +38,9 @@ def _stable_hash(text: str) -> int:
 
 
 class MockLLMServer:
-    def __init__(self, delay: float = 0.0):
+    def __init__(self, delay: float = 0.0, threaded: bool = True):
         self.delay = delay
+        self.on_embeddings = None
         self.judge_alternatives = [("Yes", math.log(0.7)), ("No", math.log(0.2))]
         self.request_count = 0
         self.embedding_requests = 0
@@ -65,6 +69,8 @@ class MockLLMServer:
                     if outer.delay:
                         time.sleep(outer.delay)
                     if self.path.endswith("/embeddings"):
+                        if outer.on_embeddings is not None:
+                            outer.on_embeddings()
                         status, payload = outer._embeddings(body)
                     else:
                         status, payload = outer._chat(body)
@@ -78,7 +84,8 @@ class MockLLMServer:
                 self.end_headers()
                 self.wfile.write(data)
 
-        self.httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        server = ThreadingHTTPServer if threaded else HTTPServer
+        self.httpd = server(("127.0.0.1", 0), Handler)
         self.endpoint = f"http://127.0.0.1:{self.httpd.server_address[1]}/v1"
         self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
 

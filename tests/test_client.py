@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from honest import client
 from honest.client import (
     FIXED_TEMPERATURES,
     SamplingConfig,
@@ -12,7 +13,8 @@ from honest.client import (
     sample_records,
 )
 from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed_text
-from honest.errors import EmptyCompletion, EndpointError, LogprobsUnavailable, TooFewUsable
+from honest.errors import (EmptyCompletion, EndpointError, LogprobsUnavailable,
+                           ProviderUnavailable, TooFewUsable)
 from honest.model import Language
 
 # A well-formed endpoint for configs that send nothing (port 9 is discard).
@@ -66,6 +68,23 @@ class TestSamplingConfig:
     def test_independent_temperatures(self):
         c = SamplingConfig(endpoint=ENDPOINT, model="m", n=3, temperature=0.7)
         assert c.temperatures() == [0.7, 0.7, 0.7]
+
+    def test_retries_at_least_zero(self):
+        assert SamplingConfig(endpoint=ENDPOINT, model="m", retries=0).retries == 0
+        with pytest.raises(ValueError, match="retries"):
+            SamplingConfig(endpoint=ENDPOINT, model="m", retries=-1)
+
+    @pytest.mark.parametrize("backoff", [-1.0, -0.01, math.inf, math.nan])
+    def test_backoff_finite_and_at_least_zero(self, backoff):
+        assert SamplingConfig(endpoint=ENDPOINT, model="m", backoff=0.0).backoff == 0.0
+        with pytest.raises(ValueError, match="backoff"):
+            SamplingConfig(endpoint=ENDPOINT, model="m", backoff=backoff)
+
+    @pytest.mark.parametrize("timeout", [0.0, -1.0, math.inf, math.nan])
+    def test_timeout_finite_and_positive(self, timeout):
+        assert SamplingConfig(endpoint=ENDPOINT, model="m", timeout=0.01).timeout == 0.01
+        with pytest.raises(ValueError, match="timeout"):
+            SamplingConfig(endpoint=ENDPOINT, model="m", timeout=timeout)
 
 
 class TestSampling:
@@ -194,3 +213,21 @@ def test_api_key_is_a_bearer_token_on_every_request(mock_server, monkeypatch, ke
     assert [path for path, _ in sent] == ["/v1/chat/completions", "/v1/embeddings"]
     assert [headers.get("Authorization") for _, headers in sent] == (
         [f"Bearer {key}"] * 2 if key else [None, None])
+
+
+@pytest.mark.parametrize("key", ["line\nbreak", "carriage\r\nreturn", "tab\tkey",
+                                 "ellipsis\u2026"])
+def test_a_key_that_is_not_printable_ascii_is_refused_unsent(mock_server, monkeypatch, key):
+    """An HONEST_API_KEY that cannot be a bearer token raises the caller's
+    typed error naming the variable, before any attempt; the first two keys
+    would make ``urlopen`` refuse the header on every attempt."""
+    monkeypatch.setenv("HONEST_API_KEY", key)
+    attempts = []
+    monkeypatch.setattr(client.urllib.request, "urlopen",
+                        lambda *args, **kwargs: attempts.append(args))
+    with pytest.raises(EndpointError, match="HONEST_API_KEY"):
+        sample_records("STABLE sort", Language.PYTHON, config(mock_server, n=1))
+    with pytest.raises(ProviderUnavailable, match="HONEST_API_KEY"):
+        embed_text("sort a list", EmbeddingProviderConfig(
+            kind=ProviderKind.REMOTE, endpoint=mock_server.endpoint, model_name="bad-key"))
+    assert attempts == []

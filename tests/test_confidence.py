@@ -28,12 +28,14 @@ from honest.confidence import (
     weight_grid,
     analyze_program,
 )
-from honest.errors import DegenerateEmbedding, DegenerateLabels, HonestError, TooFewSamples
+from honest.errors import (DegenerateEmbedding, DegenerateLabels, HonestError,
+                           ProviderUnavailable, TooFewSamples)
 from honest.embeddings import EmbeddingProviderConfig, ProviderKind, embed
 from honest.evaluation import ScoredSample, auroc, rank_auroc
 from honest.model import Language, Program, SampleSet, lex, tokenize
 from honest.similarity import (SimilarityWeights, sim_dataflow, sim_embed, sim_hybrid,
                                sim_syntax, sim_text)
+from mock_server import MockLLMServer
 
 
 def py(source):
@@ -686,6 +688,79 @@ class TestPairStage:
         samples = sample_set([PYTHON_CORPUS[0], "ZEROVEC = 1"])
         with pytest.raises(DegenerateEmbedding):
             estimate_confidence(samples, SimilarityWeights.uniform(), provider)
+
+
+def remote(endpoint, model):
+    return EmbeddingProviderConfig(kind=ProviderKind.REMOTE, endpoint=endpoint,
+                                   model_name=model, retries=0, backoff=0.0)
+
+
+class TestRequestInFlight:
+    """With a remote provider, a set's one /embeddings request is in flight
+    while this thread computes the local parts of its distinct programs."""
+
+    def test_request_is_sent_before_the_analysis_ends(self, mock_server, monkeypatch):
+        """The endpoint holds its reply until the set's last distinct program
+        has its local parts, so it answers in time only if the request was
+        sent before them."""
+        samples = sample_set(PYTHON_CORPUS[:6] + PYTHON_CORPUS[:2])
+        analysed, done, held = threading.Event(), [], []
+        real = confidence._local_parts
+
+        def local_parts(program):
+            parts = real(program)
+            done.append(program.source)
+            if len(done) == 6:
+                analysed.set()
+            return parts
+
+        monkeypatch.setattr(confidence, "_local_parts", local_parts)
+        monkeypatch.setattr(mock_server, "on_embeddings",
+                            lambda: held.append(analysed.wait(timeout=10)))
+        estimate_confidence(samples, SimilarityWeights.uniform(),
+                            remote(mock_server.endpoint, "held-until-analysed"))
+        assert held == [True] and sorted(done) == sorted(PYTHON_CORPUS[:6])
+
+    @pytest.mark.parametrize("language,corpus", [(Language.PYTHON, PYTHON_CORPUS),
+                                                 (Language.JAVA, JAVA_CORPUS)],
+                             ids=["python", "java"])
+    def test_scores_equal_the_walks(self, language, corpus, mock_server):
+        samples = SampleSet("req-1", "a requirement",
+                            tuple(Program(s, language) for s in corpus + corpus[:2]))
+        provider = remote(mock_server.endpoint, f"walks-{language.value}")
+        assert stage_scores(samples, provider) == walk_scores(samples, provider)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        """On success, on an unreachable endpoint and on a local error, the
+        threads after ``estimate_confidence`` are the threads before it; the
+        request's error wins over a local one. The endpoint answers on its
+        own thread, so it leaves no thread of its own behind."""
+        server = MockLLMServer(threaded=False).start()
+        samples = sample_set(PYTHON_CORPUS[:5])
+        weights = SimilarityWeights.uniform()
+        up = remote(server.endpoint, "no-thread-left")
+        down = remote("http://127.0.0.1:9/v1", "no-thread-left")  # port 9 is discard
+        try:
+            before = threading.enumerate()
+            estimate_confidence(samples, weights, up)
+            assert threading.enumerate() == before
+            with pytest.raises(ProviderUnavailable):
+                estimate_confidence(samples, weights, down)
+            assert threading.enumerate() == before
+
+            def fails(program):
+                raise RuntimeError("local parts failed")
+
+            monkeypatch.setattr(confidence, "_local_parts", fails)
+            with pytest.raises(ProviderUnavailable):
+                estimate_confidence(samples, weights, down)
+            assert threading.enumerate() == before
+            with pytest.raises(RuntimeError, match="local parts failed"):
+                estimate_confidence(sample_set(PYTHON_CORPUS[5:10]), weights, up)
+            assert threading.enumerate() == before
+            assert server.embedding_requests == 2
+        finally:
+            server.stop()
 
 
 def stage_scores(samples, provider):

@@ -255,6 +255,35 @@ class TestRemote:
             embed(py("x = 1"), config)
 
 
+def provider(kind, **fields):
+    if kind is ProviderKind.REMOTE:
+        fields.update(endpoint="http://127.0.0.1:9", model_name="m")
+    return EmbeddingProviderConfig(kind=kind, **fields)
+
+
+@pytest.mark.parametrize("kind", list(ProviderKind))
+class TestProviderConfig:
+    """Each request setting is checked whatever the provider; 0 in flight
+    would block every remote embed for ever."""
+
+    def test_max_in_flight_at_least_one(self, kind):
+        assert provider(kind, max_in_flight=1).max_in_flight == 1
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_in_flight"):
+                provider(kind, max_in_flight=bad)
+
+    def test_retries_at_least_zero(self, kind):
+        assert provider(kind, retries=0).retries == 0
+        with pytest.raises(ValueError, match="retries"):
+            provider(kind, retries=-1)
+
+    def test_backoff_finite_and_at_least_zero(self, kind):
+        assert provider(kind, backoff=0.0).backoff == 0.0
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="backoff"):
+                provider(kind, backoff=bad)
+
+
 class TestCosine:
     def test_cached_norm_leaves_equality_and_hash_alone(self):
         a = EmbeddingVector((3.0, 4.0))
