@@ -160,13 +160,11 @@ def cmd_sample(args) -> int:
 
 def _entry_to_sample_set(entry: dataset.SampleArchiveEntry,
                          requirement: str, language: Language) -> SampleSet:
-    programs = tuple(
+    return client.usable_set(entry.id, requirement, (
         Program(source=p.source, language=language,
                 origin=Origin(sample_index=i, temperature=p.temperature,
                               token_probs=p.token_probs))
-        for i, p in enumerate(entry.programs))
-    return SampleSet(requirement_id=entry.id, requirement=requirement,
-                     programs=programs)
+        for i, p in enumerate(entry.programs)))
 
 
 def _labelled(benchmark: Sequence[dataset.BenchmarkSample],
@@ -303,8 +301,9 @@ def cmd_eval(args) -> int:
                            f"model {args.model!r}")
         sample_set = (_entry_to_sample_set(entry, sample.requirement, sample.language)
                       if reads_programs else None)
-        # program counts only when every archived program has a verdict
-        verdicts = [p.verdict for p in entry.programs] if entry else [None]
+        # program counts only when every program that could be shown has a verdict
+        verdicts = ([p.verdict for p in entry.programs if not client.blank(p.source)]
+                    if entry else [None])
         counted = None not in verdicts
         scored.append(evaluation.ScoredSample(
             id=sample.id, score=score(sample, sample_set),

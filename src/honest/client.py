@@ -16,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, Iterable, Optional, TypeVar
 
 from .errors import (
     EmptyCompletion,
@@ -237,23 +237,36 @@ def sample_records(requirement: str, language: Language,
         return [f.result() for f in futures]  # request order, not arrival order
 
 
+def blank(source: str) -> bool:
+    """A completion with no code in it: never a program, so never shown."""
+    return not source.strip()
+
+
+def usable_set(requirement_id: str, requirement: str,
+               programs: Iterable[Program]) -> SampleSet:
+    """The set of *programs* that are not blank, in their order. Blank sources
+    are alike in every modality, so they would inflate the confidence. Raises
+    EmptyCompletion when every program is blank and TooFewUsable when only one
+    is not; each names *requirement_id*."""
+    usable = tuple(p for p in programs if not blank(p.source))
+    if not usable:
+        raise EmptyCompletion(f"id {requirement_id!r}: every completion was empty")
+    if len(usable) < 2:
+        raise TooFewUsable(f"id {requirement_id!r}: only {len(usable)} usable program(s)")
+    return SampleSet(requirement_id=requirement_id, requirement=requirement,
+                     programs=usable)
+
+
 def sample_programs(requirement: str, language: Language,
                     config: SamplingConfig,
                     requirement_id: str = "") -> SampleSet:
     """Sample N candidate programs at the configured temperatures.
 
     Requests run concurrently, bounded by config.parallelism; the returned
-    set preserves request order. Raises TooFewUsable when fewer than two
-    responses yield a non-empty program.
+    set preserves request order and holds the ``usable_set`` of the replies.
     """
     records = sample_records(requirement, language, config)
-    usable = [r.program for r in records if r.program.source.strip()]
-    if not usable:
-        raise EmptyCompletion("every completion was empty")
-    if len(usable) < 2:
-        raise TooFewUsable(f"only {len(usable)} usable program(s)")
-    return SampleSet(requirement_id=requirement_id, requirement=requirement,
-                     programs=tuple(usable))
+    return usable_set(requirement_id, requirement, (r.program for r in records))
 
 
 def _probability(logprob: float) -> float:

@@ -15,7 +15,8 @@ from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from pygments.lexers import JavaLexer, PythonLexer
+from pygments.lexer import Lexer
+from pygments.lexers import PythonLexer, get_lexer_by_name
 from pygments.token import Comment, Keyword, Name, Number, Operator, Punctuation, String, _TokenType
 
 from .errors import UnknownLanguage
@@ -109,19 +110,17 @@ class SampleSet:
         return len(self.programs)
 
 
-# Every Java analysis lexes, so its lexer is built at import (3-6 ms). Python's
-# serves only the programs ``_python_tokens`` hands back and compiles its rules
-# in 30-50 ms, so it is built on the first of them, under a lock: Pygments
+# Each language's lexer is built on its first program that reaches Pygments, so
+# a process that lexes no Java loads no Java lexer. Under one lock: Pygments
 # compiles a class's rules on its first instance with no lock of its own, and
 # threads that race there can give two of its combined states one name.
-_JAVA_LEXER = JavaLexer(stripnl=False)
-_PYTHON_LEXER_LOCK = threading.Lock()
+_LEXER_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=1)
-def _python_lexer() -> PythonLexer:
-    with _PYTHON_LEXER_LOCK:
-        return PythonLexer(stripnl=False)
+@lru_cache(maxsize=len(Language))
+def _lexer(language: Language) -> Lexer:
+    with _LEXER_LOCK:
+        return get_lexer_by_name(language.value, stripnl=False)
 
 
 Lexed = list[tuple[_TokenType, str]]  # a Pygments (token type, text) stream
@@ -141,8 +140,7 @@ def token_class(tok: _TokenType) -> _TokenType | None:
 def lex(program: Program) -> Lexed:
     """The program's Pygments stream, comments and whitespace included: the one
     lexing pass that its tokens, Java parse and dataflow, and local embedding read."""
-    lexer = _JAVA_LEXER if program.language is Language.JAVA else _python_lexer()
-    return list(lexer.get_tokens(program.source))
+    return list(_lexer(program.language).get_tokens(program.source))
 
 
 def token_sequence(lexed: Lexed) -> TokenSequence:

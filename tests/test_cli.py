@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from test_baselines import per_call_knn, per_k_tune_k
 from test_replies import obj
 
-from honest import baselines, client, evaluation
-from honest.cli import main
+from honest import baselines, client, confidence, evaluation
+from honest.cli import _entry_to_sample_set, main
 from honest.confidence import estimate_confidence
 from honest.dataset import (
     ArchivedProgram,
@@ -507,6 +507,101 @@ class TestTuneCommand:
         assert data["train_auroc"] == 1.0
         echoed = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert echoed["grid_points_evaluated"] == 1771
+
+
+class TestBlankCompletions:
+    """A blank completion is archived but is no program: every command that
+    reads an archive skips it, as sampling does online."""
+
+    def estimate(self, tmp_path, name, sources):
+        arch = tmp_path / f"{name}.jsonl"
+        save_samples([SampleArchiveEntry("r0", MODEL, tuple(
+            ArchivedProgram(src, 1.0) for src in sources))], arch)
+        report = tmp_path / f"{name}-report.jsonl"
+        code = main(["estimate", "--archive", str(arch), "--language", "python",
+                     "--out", str(report)])
+        return code, arch, report
+
+    @pytest.mark.parametrize("sources, error", [
+        (["", "   ", "  \n"], "EmptyCompletion"),
+        (["", PYTHON_CORPUS[0], "\t"], "TooFewUsable"),
+    ], ids=["all-blank", "one-program"])
+    def test_too_few_programs_is_usage_error(self, sources, error, tmp_path, capsys):
+        code, _, _ = self.estimate(tmp_path, "arch", sources)
+        err = capsys.readouterr().err
+        assert_usage_error(code, err)
+        assert error in err and "'r0'" in err
+
+    def test_blanks_leave_the_confidence_alone(self, tmp_path, capsys):
+        programs = PYTHON_CORPUS[:2]
+        reports = [self.estimate(tmp_path, name, sources)[2] for name, sources in (
+            ("plain", programs), ("mixed", ["", programs[0], " ", programs[1], "\n"]))]
+        plain, mixed = (json.loads(r.read_text()) for r in reports)
+        assert mixed["n"] == plain["n"] == 2
+        assert mixed["confidence"].hex() == plain["confidence"].hex()
+
+    def test_archive_position_is_kept(self):
+        entry = SampleArchiveEntry("r0", MODEL, tuple(
+            ArchivedProgram(src, 1.0) for src in ["", "x = 1", " ", "y = 2"]))
+        sample_set = _entry_to_sample_set(entry, "req", Language.PYTHON)
+        assert [p.source for p in sample_set.programs] == ["x = 1", "y = 2"]
+        assert [p.origin.sample_index for p in sample_set.programs] == [1, 3]
+
+    def test_gate_prints_no_blank_program(self, tmp_path, capsys):
+        sources = ["", PYTHON_CORPUS[0], "  \n", PYTHON_CORPUS[1], ""]
+        _, arch, report = self.estimate(tmp_path, "mixed", sources)
+        assert main(["gate", "--report", str(report), "--archive", str(arch),
+                     "--language", "python", "--threshold", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["verdict"] == "show"
+        assert payload["programs"] == PYTHON_CORPUS[:2]
+
+        blank = tmp_path / "blank.jsonl"
+        save_samples([SampleArchiveEntry("r0", MODEL, tuple(
+            ArchivedProgram(src, 1.0) for src in ["", "", "  \n"]))], blank)
+        report.write_text(json.dumps({"id": "r0", "model": MODEL, "n": 3,
+                                      "confidence": 1.0, "weights": {}}) + "\n")
+        code = main(["gate", "--report", str(report), "--archive", str(blank),
+                     "--language", "python", "--threshold", "0.9"])
+        out, err = capsys.readouterr()
+        assert_usage_error(code, err)
+        assert out == ""
+
+    @pytest.mark.parametrize("method", ["honest", "knn-bm25"])
+    def test_eval_counts_no_blank_verdicts(self, method, tmp_path):
+        """Blanks with a wrong verdict, added to each entry, change no score, no
+        result and no sweep row."""
+        bench_path, arch_path = build_fixture(tmp_path)
+        blanked = tmp_path / "blanked.jsonl"
+        save_samples([SampleArchiveEntry(e.id, e.model, (
+            ArchivedProgram("", 1.0, verdict=False), *e.programs,
+            ArchivedProgram(" \n", 1.0, verdict=False)))
+            for e in load_samples(arch_path)], blanked)
+        outputs = []
+        for name, arch in (("plain", arch_path), ("blanked", blanked)):
+            out, sweep = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            assert main(["eval", "--benchmark", str(bench_path), "--archive", str(arch),
+                         "--model", MODEL, "--method", method, "--out", str(out),
+                         "--sweep-out", str(sweep)]) == 0
+            outputs.append((out.read_bytes(), sweep.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_tune_skips_blanks(self, tmp_path, monkeypatch):
+        bench_path, arch_path = build_fixture(tmp_path)
+        blanked = tmp_path / "blanked.jsonl"
+        save_samples([SampleArchiveEntry(e.id, e.model, (*e.programs, ArchivedProgram("", 1.0)))
+                      for e in load_samples(arch_path)], blanked)
+        trained = []
+        real = confidence.tune_weights
+
+        def spy(train, provider):
+            trained.extend(sample_set for sample_set, _ in train)
+            return real(train, provider)
+
+        monkeypatch.setattr(confidence, "tune_weights", spy)
+        assert main(["tune", "--benchmark", str(bench_path), "--archive", str(blanked),
+                     "--model", MODEL, "--out", str(tmp_path / "weights.json")]) == 0
+        assert [len(sample_set) for sample_set in trained] == [3] * 4
 
 
 class TestOutputFiles:

@@ -1,11 +1,14 @@
 import ast
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
@@ -386,6 +389,46 @@ class TestModalityMeans:
             report = estimate_confidence(ss, weights, local_provider)
             mixed = sum(m * w for m, w in zip(means, weights.as_tuple()))
             assert report.confidence == pytest.approx(mixed, abs=1e-9)
+
+
+# Prints the float.hex() of the uniform-weight confidence and the four modality
+# means of each window of consecutive corpus programs, five Python or three Java.
+_WINDOW_SCORES = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from corpus import JAVA_CORPUS, PYTHON_CORPUS
+from honest.confidence import estimate_confidence, modality_means
+from honest.embeddings import EmbeddingProviderConfig, ProviderKind
+from honest.model import Language, Program, SampleSet
+from honest.similarity import SimilarityWeights
+
+provider = EmbeddingProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=128)
+values = []
+for corpus, language, n in ((PYTHON_CORPUS, Language.PYTHON, 5), (JAVA_CORPUS, Language.JAVA, 3)):
+    for start in range(len(corpus) - n + 1):
+        samples = SampleSet("r", "req", tuple(Program(s, language) for s in corpus[start:start + n]))
+        values.append(estimate_confidence(samples, SimilarityWeights.uniform(), provider).confidence)
+        values.extend(modality_means(samples, provider))
+print(json.dumps([v.hex() for v in values]))
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed():
+    """Each process salts str hashes unless PYTHONHASHSEED fixes them, so a
+    score summed in the order of a set or dict of strings would vary between
+    runs. Two seeds must give the same bits for every window."""
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(tests.parent / "src"), os.environ.get("PYTHONPATH")]))
+    runs = []
+    for seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-c", _WINDOW_SCORES, str(tests)], capture_output=True,
+            encoding="utf-8", timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path})
+        assert result.returncode == 0, result.stderr
+        runs.append(json.loads(result.stdout))
+    assert len(runs[0]) == (16 + 3) * 5
+    assert runs[0] == runs[1]
 
 
 def seed_pairs(samples, weights, provider):

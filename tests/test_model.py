@@ -279,38 +279,41 @@ class TestTypes:
         assert {a: 1}[b] == 1
 
 
-# Runs in a fresh interpreter. Counts the PythonLexer instances built and the
-# times Pygments compiles the class's rules: after the package's import, then
-# after each command of the JSON list in argv[1], a CLI command line or
-# ["lex-in-threads", source] (eight threads lexing one Python program at once).
+# Runs in a fresh interpreter. Counts, by lexer class name, the Pygments lexers
+# built and the times Pygments compiles a class's rules, and notes whether
+# Java's lexer module is loaded: after the package's import, then after each
+# command of the JSON list in argv[1], a CLI command line or ["lex-in-threads",
+# language, source] (eight threads lexing one program at once).
 _COLD_START = """
 import json, sys, threading
-from pygments.lexer import RegexLexerMeta
-from pygments.lexers import PythonLexer
+from collections import Counter
+from pygments.lexer import Lexer, RegexLexerMeta
 
-built, compiled = [], []
-real_init, real_compile = PythonLexer.__init__, RegexLexerMeta.process_tokendef
+built, compiled = Counter(), Counter()
+real_init, real_compile = Lexer.__init__, RegexLexerMeta.process_tokendef
 
 def counted_init(self, *args, **kwargs):
-    built.append(1)
+    built[type(self).__name__] += 1
     real_init(self, *args, **kwargs)
 
 def counted_compile(cls, name, tokendefs=None):
-    if cls is PythonLexer:
-        compiled.append(1)
+    compiled[cls.__name__] += 1
     return real_compile(cls, name, tokendefs)
 
-PythonLexer.__init__ = counted_init
+Lexer.__init__ = counted_init
 RegexLexerMeta.process_tokendef = counted_compile
+
+def row(command, code):
+    return [command, code, dict(built), dict(compiled), "pygments.lexers.jvm" in sys.modules]
 
 import honest, honest.cli
 from honest.model import Language, Program, lex
 
-rows = [["import", None, len(built), len(compiled)]]
+rows = [row("import", None)]
 for command in json.loads(sys.argv[1]):
     code = None
     if command[0] == "lex-in-threads":
-        program = Program(command[1], Language.PYTHON)
+        program = Program(command[2], Language(command[1]))
         threads = [threading.Thread(target=lex, args=(program,)) for _ in range(8)]
         sys.setswitchinterval(1e-6)
         for thread in threads:
@@ -320,7 +323,7 @@ for command in json.loads(sys.argv[1]):
         assert not any(thread.is_alive() for thread in threads)
     else:
         code = honest.cli.main(command)
-    rows.append([command[0], code, len(built), len(compiled)])
+    rows.append(row(command[0], code))
 print(json.dumps(rows))
 """
 # a program ``_python_tokens`` hands back to Pygments (an f-string)
@@ -328,8 +331,8 @@ _HANDED_BACK = 'def f(x):\n    return f"{x}"\n'
 
 
 def _cold_start(commands):
-    """(command, exit code, PythonLexer instances, rule compilations) after
-    the import and after each command."""
+    """(command, exit code, lexers built, rule compilations, Java's lexer module
+    loaded) after the import and after each command; the counts are by class name."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -340,9 +343,10 @@ def _cold_start(commands):
 
 
 class TestColdStart:
-    """Python's lexer is built on the first program the scan hands back, not at
-    import. Each check starts a fresh interpreter: this session has built every
-    lexer already, which would hide a fault on first use."""
+    """Each language's lexer is built on its first program that reaches
+    Pygments, not at import: Python's on the first the scan hands back, Java's
+    on the first Java program. Each check starts a fresh interpreter: this
+    session has built every lexer already, which would hide a fault on first use."""
 
     def _archive(self, path, sources):
         path.write_text(json.dumps({"id": "r0", "model": "m", "programs": [
@@ -356,19 +360,41 @@ class TestColdStart:
         scanned = self._archive(tmp_path / "scanned.jsonl", sources)
         handed_back = self._archive(tmp_path / "handed-back.jsonl", [_HANDED_BACK] * 2)
         report = str(tmp_path / "report.jsonl")
+        python = {"PythonLexer": 1}
         assert _cold_start([
             ["estimate", "--archive", scanned, "--language", "python", "--out", report],
             ["gate", "--report", report, "--archive", scanned, "--id", "r0",
              "--language", "python", "--threshold", "0.5"],
             ["estimate", "--archive", handed_back, "--language", "python",
              "--out", str(tmp_path / "handed-back-report.jsonl")],
-        ]) == [("import", None, 0, 0), ("estimate", 0, 0, 0), ("gate", 0, 0, 0),
-               ("estimate", 0, 1, 1)]
+        ]) == [("import", None, {}, {}, False), ("estimate", 0, {}, {}, False),
+               ("gate", 0, {}, {}, False), ("estimate", 0, python, python, False)]
+
+    def test_java_lexer_is_built_on_the_first_java_program(self, tmp_path):
+        """Neither the import nor a gate loads Java's lexer module or builds a
+        lexer; the first Java estimate builds one JavaLexer."""
+        archive = self._archive(tmp_path / "java.jsonl", JAVA_CORPUS[:3])
+        report = tmp_path / "report.jsonl"
+        report.write_text(json.dumps({"id": "r0", "model": "m", "n": 3, "confidence": 0.75,
+                                      "weights": {}}) + "\n")
+        java = {"JavaLexer": 1}
+        assert _cold_start([
+            ["gate", "--report", str(report), "--archive", archive, "--id", "r0",
+             "--language", "java", "--threshold", "0.5"],
+            ["estimate", "--archive", archive, "--language", "java",
+             "--out", str(tmp_path / "java-report.jsonl")],
+        ]) == [("import", None, {}, {}, False), ("gate", 0, {}, {}, False),
+               ("estimate", 0, java, java, True)]
 
     def test_threads_compile_the_rules_once(self):
-        """Threads that lex their first handed-back program at once compile
-        PythonLexer's rules once between them."""
-        (_, _, _, at_import), (_, _, built, compiled) = _cold_start(
-            [["lex-in-threads", _HANDED_BACK]])
-        assert (at_import, compiled) == (0, 1)
-        assert 1 <= built <= 8
+        """Threads that lex their first program of a language at once compile
+        its lexer's rules once between them: Python's on a handed-back
+        program, then Java's."""
+        rows = _cold_start([["lex-in-threads", "python", _HANDED_BACK],
+                            ["lex-in-threads", "java", JAVA_CORPUS[0]]])
+        (_, _, at_import, _, _), (_, _, _, python, _), (_, _, built, compiled, _) = rows
+        assert at_import == {}
+        assert python == {"PythonLexer": 1}
+        assert compiled == {"PythonLexer": 1, "JavaLexer": 1}
+        assert set(built) == {"PythonLexer", "JavaLexer"}
+        assert all(1 <= n <= 8 for n in built.values())
