@@ -1,11 +1,16 @@
 """Non-neural baseline confidence estimators: token-probability pooling,
 yes/no self-asking, and K-nearest-neighbor search over training requirements
-(BM25 or embedding cosine)."""
+(BM25 or embedding cosine).
+
+Scores are added left to right, the order ``sum()`` used before CPython 3.12
+compensated it, so every interpreter gives the same bits."""
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .client import (
@@ -38,14 +43,14 @@ def avg_prob(origins: Sequence[Origin]) -> float:
     """Mean of all token probabilities pooled across the programs' origins."""
     _require_probs(origins)
     probs = [p for o in origins for p in o.token_probs]
-    return sum(probs) / len(probs)
+    return reduce(add, probs, 0.0) / len(probs)
 
 
 def product_prob(origins: Sequence[Origin]) -> float:
     """Per-program probability product (log space), averaged across programs."""
     _require_probs(origins)
-    products = [math.exp(sum(math.log(p) for p in o.token_probs)) for o in origins]
-    return sum(products) / len(products)
+    products = [math.exp(reduce(add, map(math.log, o.token_probs), 0.0)) for o in origins]
+    return reduce(add, products, 0.0) / len(products)
 
 
 def self_ask_code(requirement: str, programs: Sequence[Program],
@@ -58,7 +63,7 @@ def self_ask_code(requirement: str, programs: Sequence[Program],
                                             program=p.source), config)
         for p in programs
     ]
-    return sum(scores) / len(scores)
+    return reduce(add, scores, 0.0) / len(scores)
 
 
 def self_ask_requirement(requirement: str, config: SamplingConfig) -> float:
@@ -151,9 +156,9 @@ def _ranked_labels(requirement: str, index: Bm25Index | EmbeddingCorpus,
     if len(index) == 0:
         raise EmptyCorpus("no stored requirements")
     scores = index.scores(requirement)
-    order = sorted((i for i in range(len(scores)) if i != held_out),
-                   key=lambda i: (-scores[i], i))
-    return [index.labels[i] for i in order]
+    # a stable sort stays stable reversed: equal scores keep corpus order
+    order = sorted(range(len(scores)), key=scores.__getitem__, reverse=True)
+    return [index.labels[i] for i in order if i != held_out]
 
 
 def _passed_fraction(ranked: Sequence[bool], config: KnnConfig) -> float:

@@ -7,6 +7,8 @@ import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
+from operator import add
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -160,8 +162,9 @@ def pair_breakdown(i: int, j: int, a_i: ProgramAnalysis, a_j: ProgramAnalysis,
 
 
 def pairwise_confidence(values: Sequence[float]) -> float:
-    """SUM(sim_list) / LEN(sim_list) over the ordered-pair similarities."""
-    return sum(values) / len(values)
+    """SUM(sim_list) / LEN(sim_list) over the ordered-pair similarities,
+    added left to right as ``modality_means`` adds."""
+    return reduce(add, values, 0.0) / len(values)
 
 
 def _pairs(samples: SampleSet, provider: EmbeddingProviderConfig,

@@ -96,20 +96,19 @@ def _bucket(feature: str, dimension: int) -> tuple[int, float]:
 
 
 def _hashed_vector(seq: TokenSequence, dimension: int) -> EmbeddingVector:
-    """Each distinct unigram and bigram hashed once, added times its count:
-    buckets are sums of small whole numbers, exact in any order."""
+    """Signed bucket counts, each distinct unigram and bigram hashed once and
+    added times its count. Cosine ignores length, so they stay unscaled: whole
+    numbers, whose dot products and norms are exact in any order."""
     counts = [0.0] * dimension
     for grams in seq.ngrams[:2]:
         for gram, count in grams.items():
             idx, sign = _bucket("\x00".join(gram), dimension)
             counts[idx] += sign * count
-    norm = math.sqrt(sum(v * v for v in counts))
-    if norm == 0.0:
+    if not any(counts):
         # degenerate input (empty program, or exact sign cancellation):
-        # replace with a fixed unit basis vector so identical inputs agree
+        # a fixed unit basis vector, so identical inputs agree
         counts[0] = 1.0
-        norm = 1.0
-    return EmbeddingVector(tuple(v / norm for v in counts))
+    return EmbeddingVector(tuple(counts))
 
 
 class _RemoteState:

@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional, Sequence
 
 from .analysis import Bag
@@ -129,7 +131,9 @@ def text_ratio(overlaps: Sequence[int], size_i: int, size_j: int) -> float:
 
     Orders where seq_j has no n-grams are excluded and the remaining log
     weights renormalized; a single included order with zero overlap forces
-    0. Two empty sequences score 1.
+    0. Two empty sequences score 1. The logs are added left to right, the
+    order ``sum()`` used before CPython 3.12 compensated it, so every
+    interpreter gives the same bits.
     """
     logs = []
     for n, overlap in enumerate(overlaps, 1):
@@ -141,7 +145,7 @@ def text_ratio(overlaps: Sequence[int], size_i: int, size_j: int) -> float:
         logs.append(math.log(overlap / total_j))
     if not logs:
         return 1.0 if size_i == 0 else 0.0
-    return min(1.0, math.exp(sum(logs) / len(logs)))
+    return min(1.0, math.exp(reduce(add, logs, 0.0) / len(logs)))
 
 
 def sim_text(seq_i: TokenSequence, seq_j: TokenSequence) -> float:

@@ -8,6 +8,8 @@ import sys
 import threading
 import time
 from collections import Counter
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -545,7 +547,7 @@ class TestDistinctPrograms:
 def walk_scores(samples, provider):
     """The confidences at uniform and 0.4/0.3/0.2/0.1 weights and the modality
     means, as ``float.hex()``, from the ``sim_*`` walks and ``sim_hybrid`` over
-    every ordered pair in row order, copies included."""
+    every ordered pair in row order, copies included, added left to right."""
     analyses = [analyze_program(p, provider) for p in samples.programs]
     n = len(analyses)
     rows = [(sim_text(a.tokens, b.tokens), sim_syntax(a.subtree_bag, b.subtree_bag),
@@ -554,7 +556,7 @@ def walk_scores(samples, provider):
     out = []
     for weights in (SimilarityWeights.uniform(), SimilarityWeights(0.4, 0.3, 0.2, 0.1)):
         hybrids = [sim_hybrid(*row, weights) for row in rows]
-        out.append((sum(hybrids) / len(hybrids)).hex())
+        out.append((reduce(add, hybrids, 0.0) / len(hybrids)).hex())
     sums = [0.0, 0.0, 0.0, 0.0]
     for row in rows:
         for m, value in enumerate(row):

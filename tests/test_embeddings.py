@@ -32,17 +32,17 @@ def py(source):
 
 def per_occurrence_vector(tokens, dimension):
     """The local embedding hashed one unigram or bigram occurrence at a time,
-    as the provider was first written: the oracle for the counted version."""
+    as the provider was first written, left unscaled: the oracle for the
+    counted version."""
     counts = [0.0] * dimension
     for feature in [*tokens, *(a + "\x00" + b for a, b in zip(tokens, tokens[1:]))]:
         digest = hashlib.blake2b(feature.encode("utf-8", "surrogatepass"),
                                  key=b"honest-localhashed-v1", digest_size=8).digest()
         value = int.from_bytes(digest, "big")
         counts[(value >> 1) % dimension] += 1.0 if value & 1 else -1.0
-    norm = math.sqrt(sum(v * v for v in counts))
-    if norm == 0.0:
-        counts[0], norm = 1.0, 1.0
-    return EmbeddingVector(tuple(v / norm for v in counts))
+    if not any(counts):
+        counts[0] = 1.0
+    return EmbeddingVector(tuple(counts))
 
 
 LOCAL_CONFIGS = [EmbeddingProviderConfig(kind=ProviderKind.LOCAL_HASHED, dimension=d)
@@ -66,9 +66,11 @@ class TestLocalHashed:
         b = embed(py("def f():\n    return 1\n"), local_provider)
         assert a == b
 
-    def test_unit_norm(self, local_provider):
+    def test_entries_are_whole_numbers(self, local_provider):
+        """Signed counts, not scaled to unit length."""
         v = embed(py("x = 1"), local_provider)
-        assert v.norm() == pytest.approx(1.0, abs=1e-9)
+        assert all(x.is_integer() for x in v.values)
+        assert v.norm() > 1.0
         assert v.dimension == 128
 
     def test_empty_program_gets_fallback_unit_vector(self, local_provider):

@@ -1,6 +1,8 @@
 import math
 import random
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import pytest
 from corpus import JAVA_CORPUS, PYTHON_CORPUS
@@ -220,7 +222,8 @@ def _seed_ngram_counts(tokens, n):
 
 def seed_sim_text(seq_i, seq_j):
     """sim_text as first written: rebuilds both sides' Counters per call and
-    clips with a lookup for every n-gram of seq_j."""
+    clips with a lookup for every n-gram of seq_j. Its logs are added left to
+    right, as ``sum()`` added them before CPython 3.12."""
     ti, tj = seq_i.tokens, seq_j.tokens
     logs = []
     for n in range(1, 5):
@@ -235,7 +238,7 @@ def seed_sim_text(seq_i, seq_j):
         logs.append(math.log(overlap / total_j))
     if not logs:
         return 1.0 if len(ti) == 0 else 0.0
-    return min(1.0, math.exp(sum(logs) / len(logs)))
+    return min(1.0, math.exp(reduce(add, logs, 0.0) / len(logs)))
 
 
 def seed_cosine(a, b):
